@@ -22,15 +22,14 @@ schema-versioned sample::
 
 Stage means come from the span profiler
 (:mod:`repro.observability.spans`, paths ``engine.round/engine.*``), so
-a slowdown points at a stage instead of "the engine got slower". Every invocation records one sample per engine backend
-(``"backend": "python" | "vectorized" | "batched"``; samples predating
-the field are python ones), so the series shows the vectorized and
-batched speedups and the gate covers every kernel independently: each
-new sample is compared against
-the most recent previous sample *with the same backend* and the script
-exits non-zero on a >25% ``round_seconds_median`` slowdown (the CI
-gate); samples are appended either way, so the series keeps recording
-even across regressions. Absolute numbers are only comparable on the
+a slowdown points at a stage instead of "the engine got slower". Every
+invocation records one sample of the engine's single round kernel and
+compares it against the newest earlier sample; the script exits
+non-zero on a >25% ``round_seconds_median`` slowdown (the CI gate).
+Samples are appended either way, so the series keeps recording even
+across regressions. Older samples carry a ``"backend"`` label
+(``"python" | "vectorized" | "batched"``) from when the engine had
+selectable kernels; it is kept as history and ignored by the gate. Absolute numbers are only comparable on the
 same host -- CI runners and laptops differ, and on a single-CPU host the
 pooled-trials figures cannot beat serial -- which is why the gate is
 relative to the previous sample, not to a fixed budget. Run via ``make
@@ -70,7 +69,7 @@ ROUND_REPEATS = 15
 TRIALS = 8
 
 
-def collect_sample(backend: str = "python") -> dict:
+def collect_sample() -> dict:
     """Measure one series sample on the canonical workload."""
     import numpy as np
 
@@ -96,7 +95,6 @@ def collect_sample(backend: str = "python") -> dict:
         worms,
         CollisionRule.SERVE_FIRST,
         metrics=registry,
-        backend=backend,
         profiler=profiler,
     )
     events = sum(w.n_links for w in worms)
@@ -122,22 +120,21 @@ def collect_sample(backend: str = "python") -> dict:
 
     # Warm-up (same spirit as the round warm-up above): first-touch
     # costs -- the collection's cached share matrix, allocator pools --
-    # belong to neither backend's steady-state throughput.
+    # do not belong to steady-state throughput.
     route_collection_trials(
         coll, bandwidth=BANDWIDTH, trials=2,
-        worm_length=WORM_LENGTH, seed=0, jobs=1, backend=backend,
+        worm_length=WORM_LENGTH, seed=0, jobs=1,
     )
     t0 = time.perf_counter()
     route_collection_trials(
         coll, bandwidth=BANDWIDTH, trials=TRIALS,
-        worm_length=WORM_LENGTH, seed=0, jobs=1, backend=backend,
+        worm_length=WORM_LENGTH, seed=0, jobs=1,
     )
     t_serial = time.perf_counter() - t0
 
     best = min(timings)
     return {
         "schema": SERIES_SCHEMA,
-        "backend": backend,
         "taken_unix": time.time(),
         "git_rev": git_revision(),
         "python": sys.version.split()[0],
@@ -172,21 +169,15 @@ def load_series(path: str | pathlib.Path) -> dict:
 def check_regression(
     series: dict, sample: dict, threshold: float = DEFAULT_THRESHOLD
 ) -> list[str]:
-    """Gate failures for ``sample`` against its backend's last sample.
+    """Gate failures for ``sample`` against the newest earlier sample.
 
     Compares ``round_seconds_median`` (the stable aggregate; ``best`` is
-    too noisy on shared CI hosts) against the most recent previous
-    sample with the same ``backend`` (samples predating the field count
-    as python). No prior sample for the backend passes trivially.
+    too noisy on shared CI hosts). An empty series passes trivially.
     """
-    backend = sample.get("backend", "python")
-    previous = None
-    for candidate in reversed(series.get("samples", [])):
-        if candidate.get("backend", "python") == backend:
-            previous = candidate
-            break
-    if previous is None:
+    samples = series.get("samples", [])
+    if not samples:
         return []
+    previous = samples[-1]
     before = previous["round_seconds_median"]
     now = sample["round_seconds_median"]
     if before > 0 and now > threshold * before:
@@ -216,9 +207,10 @@ def record_sample(ledger, sample: dict, *, wall: float) -> str:
     """
     from repro.observability import GroupedStats, RunRecord, fingerprint_of
 
+    backend = sample.get("backend", "")
     labels = {
         "workload": sample["workload"],
-        "backend": sample["backend"],
+        "backend": backend,
         "fault_model": "none",
         "scenario": "",
     }
@@ -235,11 +227,9 @@ def record_sample(ledger, sample: dict, *, wall: float) -> str:
             started_unix=sample["taken_unix"],
             wall_seconds=wall,
             workload=sample["workload"],
-            backend=sample["backend"],
+            backend=backend,
             fault_model="none",
-            fingerprint=fingerprint_of(
-                "engine_series", sample["workload"], sample["backend"]
-            ),
+            fingerprint=fingerprint_of("engine_series", sample["workload"]),
             summary=dict(sample),
             groups=groups.snapshot(),
         )
@@ -275,8 +265,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    from repro.core.engine import BACKENDS
-
     ledger = None
     if args.ledger is not None:
         from repro.observability import RunLedger
@@ -284,50 +272,26 @@ def main(argv: list[str] | None = None) -> int:
         ledger = RunLedger(args.ledger or None)
 
     series_before = load_series(args.out)
-    failures: list[str] = []
-    medians: dict[str, float] = {}
-    trial_rates: dict[str, float] = {}
-    for backend in BACKENDS:
-        t_sample = time.perf_counter()
-        sample = collect_sample(backend)
-        sample_wall = time.perf_counter() - t_sample
-        medians[backend] = sample["round_seconds_median"]
-        trial_rates[backend] = sample["trials_per_second_serial"]
-        if ledger is not None:
-            record_sample(ledger, sample, wall=sample_wall)
-        if not args.no_check:
-            # Each backend gates against ITS previous sample, so the
-            # slower python kernel never masks a vectorized regression.
-            failures += check_regression(
-                series_before, sample, threshold=args.threshold
-            )
-        series = append_sample(args.out, sample)
-        print(
-            f"sample {len(series['samples'])} [{backend}]: median round "
-            f"{sample['round_seconds_median'] * 1e3:.2f}ms, "
-            f"{sample['events_per_second']:.0f} events/s, "
-            f"{sample['trials_per_second_serial']:.2f} trials/s "
-            f"(git {sample['git_rev'] or 'n/a'})"
-        )
-    if medians.get("python") and medians.get("vectorized"):
-        print(
-            f"vectorized/python median round ratio: "
-            f"{medians['vectorized'] / medians['python']:.2f}x "
-            "(single-process; pooled-trial throughput is still bounded "
-            "by cpu_count)"
-        )
-    if trial_rates.get("vectorized") and trial_rates.get("batched"):
-        print(
-            f"batched/vectorized serial trial throughput: "
-            f"{trial_rates['batched'] / trial_rates['vectorized']:.2f}x "
-            f"({trial_rates['vectorized']:.2f} -> "
-            f"{trial_rates['batched']:.2f} trials/s; lockstep batching "
-            "amortises the sort kernel across the whole trial slice)"
-        )
-    print(f"appended to {args.out}")
+    t_sample = time.perf_counter()
+    sample = collect_sample()
+    sample_wall = time.perf_counter() - t_sample
     if ledger is not None:
-        print(f"recorded {len(BACKENDS)} ledger row(s) in {ledger.path}")
+        record_sample(ledger, sample, wall=sample_wall)
+        print(f"recorded 1 ledger row in {ledger.path}")
         ledger.close()
+    failures = (
+        [] if args.no_check
+        else check_regression(series_before, sample, threshold=args.threshold)
+    )
+    series = append_sample(args.out, sample)
+    print(
+        f"sample {len(series['samples'])}: median round "
+        f"{sample['round_seconds_median'] * 1e3:.2f}ms, "
+        f"{sample['events_per_second']:.0f} events/s, "
+        f"{sample['trials_per_second_serial']:.2f} trials/s "
+        f"(git {sample['git_rev'] or 'n/a'})"
+    )
+    print(f"appended to {args.out}")
     for failure in failures:
         print(f"REGRESSION: {failure}", file=sys.stderr)
     return 1 if failures else 0

@@ -95,8 +95,6 @@ from repro.paths import (
 from repro.core import (
     RoutingEngine,
     run_round,
-    set_default_backend,
-    get_default_backend,
     ProtocolConfig,
     TrialAndFailureProtocol,
     route_collection,
@@ -218,8 +216,6 @@ __all__ = [
     "shortcut_lower_bound_instance",
     "RoutingEngine",
     "run_round",
-    "set_default_backend",
-    "get_default_backend",
     "ProtocolConfig",
     "TrialAndFailureProtocol",
     "route_collection",

@@ -212,10 +212,8 @@ def _record_cli_run(
     summary: dict | None = None,
 ) -> str:
     """One ``kind="experiment"`` ledger row for a CLI-level invocation."""
-    from repro.core.engine import get_default_backend
     from repro.observability import RunRecord, fingerprint_of
 
-    backend = getattr(args, "backend", None) or get_default_backend()
     seed = getattr(args, "seed", None)
     trials = getattr(args, "trials", None)
     return ledger.record(
@@ -223,11 +221,10 @@ def _record_cli_run(
             kind=kind,
             wall_seconds=wall,
             workload=workload,
-            backend=backend,
             fault_model=fault_model,
             seed=seed,
             trials=trials,
-            fingerprint=fingerprint_of(kind, workload, backend, seed, trials),
+            fingerprint=fingerprint_of(kind, workload, seed, trials),
             summary=summary or {},
             metrics=metrics.snapshot() if metrics is not None else None,
             spans=profiler.snapshot() if profiler is not None else None,
@@ -840,7 +837,6 @@ def _sweep_plan(args):
         worm_length=args.worm_length,
         max_rounds=args.max_rounds,
         faults=faults,
-        backend=args.backend,
     )
 
 
@@ -1058,19 +1054,6 @@ def build_parser() -> argparse.ArgumentParser:
             "wall time went (and add a span_profile record to --trace-out)",
         )
 
-    def _add_backend_flag(p) -> None:
-        from repro.core.engine import BACKENDS
-
-        p.add_argument(
-            "--backend",
-            choices=list(BACKENDS),
-            default=None,
-            help="engine round kernel (bit-identical results; vectorized "
-            "batches uncontended events with numpy, batched additionally "
-            "runs whole trial slices in lockstep -- see "
-            "docs/PERFORMANCE.md)",
-        )
-
     def _add_ledger_flag(p) -> None:
         p.add_argument(
             "--ledger",
@@ -1094,14 +1077,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs 1; experiments without parallel support run serially)",
     )
     _add_observability_flags(run)
-    _add_backend_flag(run)
     _add_live_flags(run)
     _add_ledger_flag(run)
     run.set_defaults(fn=_cmd_run)
 
     demo = sub.add_parser("demo", help="a 30-second protocol demo")
     _add_observability_flags(demo)
-    _add_backend_flag(demo)
     demo.add_argument(
         "--flight",
         action="store_true",
@@ -1158,7 +1139,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default=None, metavar="PATH", help="also write the tables here"
     )
     _add_observability_flags(f_sweep)
-    _add_backend_flag(f_sweep)
     _add_live_flags(f_sweep)
     _add_ledger_flag(f_sweep)
     f_sweep.set_defaults(fn=_cmd_faults_sweep)
@@ -1180,7 +1160,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="reroute worms stranded on suspected-dead links",
     )
     _add_observability_flags(f_replay)
-    _add_backend_flag(f_replay)
     f_replay.set_defaults(fn=_cmd_faults_replay)
 
     scenario = sub.add_parser(
@@ -1235,7 +1214,6 @@ def build_parser() -> argparse.ArgumentParser:
             "window gauges) every K rounds",
         )
         _add_observability_flags(p)
-        _add_backend_flag(p)
         _add_live_flags(p)
         _add_ledger_flag(p)
 
@@ -1310,7 +1288,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--backend",
             dest="runs_backend",
             default=None,
-            help="only this engine backend",
+            help="only rows with this historical engine-backend label",
         )
         p.add_argument(
             "--fault-model", default=None, help="only this fault-model label"
@@ -1539,7 +1517,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_sweep_supervision_flags(s_run)
     _add_observability_flags(s_run)
-    _add_backend_flag(s_run)
     _add_live_flags(s_run)
     _add_ledger_flag(s_run)
     s_run.set_defaults(fn=_cmd_sweep_run)
@@ -1555,7 +1532,6 @@ def build_parser() -> argparse.ArgumentParser:
         _add_sweep_dir_flag(p)
         _add_sweep_supervision_flags(p)
         _add_observability_flags(p)
-        _add_backend_flag(p)
         _add_live_flags(p)
         _add_ledger_flag(p)
         p.set_defaults(fn=fn)
@@ -1643,13 +1619,6 @@ def main(argv=None) -> int:
         from repro.observability import configure_logging
 
         configure_logging(args.log_level)
-    if getattr(args, "backend", None):
-        # Process default rather than per-call plumbing: every engine the
-        # subcommand builds (and, via the pool initializer, every worker
-        # process) picks it up.
-        from repro.core.engine import set_default_backend
-
-        set_default_backend(args.backend)
     try:
         return args.fn(args)
     except ReproError as exc:

@@ -29,13 +29,10 @@ from repro.core.records import (
     ProtocolResult,
 )
 from repro.core.engine import (
-    BACKENDS,
     RoundCall,
     RoutingEngine,
-    get_default_backend,
     run_round,
     run_round_batch,
-    set_default_backend,
 )
 from repro.core.schedule import (
     ScheduleContext,
@@ -74,13 +71,10 @@ __all__ = [
     "RoundResult",
     "RoundRecord",
     "ProtocolResult",
-    "BACKENDS",
     "RoundCall",
     "RoutingEngine",
-    "get_default_backend",
     "run_round",
     "run_round_batch",
-    "set_default_backend",
     "ScheduleContext",
     "DelaySchedule",
     "PaperSchedule",

@@ -50,12 +50,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro._util import as_generator, spawn_generator
-from repro.core.engine import (
-    BACKENDS,
-    RoundCall,
-    RoutingEngine,
-    run_round_batch,
-)
+from repro.core.engine import RoundCall, RoutingEngine, run_round_batch
 from repro.core.records import (
     DIAG_ACK_LOST,
     DIAG_CONTENTION,
@@ -119,14 +114,6 @@ class ProtocolConfig:
     consecutive progressing rounds halve the multiplier back toward 1,
     which streaming runs need so one transient stall does not
     permanently inflate ``Delta_t``.
-
-    ``backend`` selects the engine's round kernel (``"python"``,
-    ``"vectorized"`` or ``"batched"``, all bit-identical); None defers
-    to the process default (see
-    :func:`repro.core.engine.set_default_backend`). ``"batched"``
-    additionally opts trial drivers (:func:`run_protocol_batch`, the
-    trial runner's batch dispatch) into simulating many seeds' rounds
-    through one stacked engine pass.
     """
 
     bandwidth: int
@@ -147,14 +134,8 @@ class ProtocolConfig:
     backoff_after: int = 0
     backoff_cap: float = 8.0
     backoff_cooldown: int = 0
-    backend: str | None = None
 
     def __post_init__(self) -> None:
-        if self.backend is not None and self.backend not in BACKENDS:
-            raise ProtocolError(
-                f"backend must be one of {BACKENDS} (or None for the "
-                f"process default), got {self.backend!r}"
-            )
         if not 0.0 <= self.fault_rate < 1.0:
             raise ProtocolError(
                 f"fault_rate must be in [0, 1), got {self.fault_rate}"
@@ -352,7 +333,6 @@ class TrialAndFailureProtocol:
             config.rule,
             config.tie_rule,
             metrics=self._metrics,
-            backend=config.backend,
         )
         self._ack_engine: RoutingEngine | None = None
         if config.ack_mode == "simulated":
@@ -363,7 +343,6 @@ class TrialAndFailureProtocol:
                 config.rule,
                 config.tie_rule,
                 metrics=self._metrics,
-                backend=config.backend,
             )
 
     # -- round internals -----------------------------------------------------
@@ -865,7 +844,7 @@ def run_protocol_batch(
 ) -> list[ProtocolResult]:
     """Run one protocol trial per seed, simulating their rounds in lockstep.
 
-    The batched backend's trial driver: one
+    The lockstep trial driver: one
     :class:`TrialAndFailureProtocol` is stamped out per seed (engine
     forks of a shared parent, so construction cost is paid once), and
     every round all still-running trials' launches go through a single
@@ -881,9 +860,8 @@ def run_protocol_batch(
     ``metrics`` is None (process default for every trial), one shared
     registry, or a sequence of per-trial registries -- the last is how
     the instrumented trial runner keeps per-trial snapshots exact.
-    Profiler note: the serial loop's per-round ``protocol.round`` span
-    is not emitted here; the engine's ``engine.round_batch`` span tree
-    covers the shared work instead.
+    Each lockstep round is one ``protocol.round`` span, with the
+    engine's ``engine.round_batch`` span tree nested under it.
     """
     seeds = list(seeds)
     if not seeds:
@@ -912,49 +890,53 @@ def run_protocol_batch(
 
     results: list[ProtocolResult | None] = [None] * len(seeds)
     live = list(range(len(seeds)))
+    prof = get_profiler()
     while live:
-        congestion: dict[int, int | None] = {i: None for i in live}
-        if config.track_congestion:
-            # Trials still on the pristine collection share one exact
-            # oracle matmul; repaired trials measure their own paths.
-            oracle = [i for i in live if states[i].live_coll is collection]
-            vals = None
-            if oracle:
-                masks = np.zeros((len(oracle), collection.n), dtype=bool)
-                for row, i in enumerate(oracle):
-                    masks[row, states[i].active] = True
-                vals = collection.subset_congestion_batch(masks)
-            if vals is not None:
-                for row, i in enumerate(oracle):
-                    congestion[i] = int(vals[row])
-                rest = [i for i in live if states[i].live_coll is not collection]
-            else:
-                rest = live
-            for i in rest:
-                congestion[i] = protos[i]._measure_congestion(states[i])
+        with prof.span("protocol.round"):
+            congestion: dict[int, int | None] = {i: None for i in live}
+            if config.track_congestion:
+                # Trials still on the pristine collection share one exact
+                # oracle matmul; repaired trials measure their own paths.
+                oracle = [i for i in live if states[i].live_coll is collection]
+                vals = None
+                if oracle:
+                    masks = np.zeros((len(oracle), collection.n), dtype=bool)
+                    for row, i in enumerate(oracle):
+                        masks[row, states[i].active] = True
+                    vals = collection.subset_congestion_batch(masks)
+                if vals is not None:
+                    for row, i in enumerate(oracle):
+                        congestion[i] = int(vals[row])
+                    rest = [
+                        i for i in live if states[i].live_coll is not collection
+                    ]
+                else:
+                    rest = live
+                for i in rest:
+                    congestion[i] = protos[i]._measure_congestion(states[i])
 
-        calls = []
-        for i in live:
-            launches, dead_links = protos[i]._prepare_round(
-                states[i], congestion[i]
-            )
-            calls.append(
-                RoundCall(
-                    engine=protos[i].engine,
-                    launches=launches,
-                    collect_collisions=config.collect_collisions,
-                    dead_links=dead_links,
-                    recorder=protos[i]._flight,
+            calls = []
+            for i in live:
+                launches, dead_links = protos[i]._prepare_round(
+                    states[i], congestion[i]
                 )
-            )
-        round_results = run_round_batch(calls)
+                calls.append(
+                    RoundCall(
+                        engine=protos[i].engine,
+                        launches=launches,
+                        collect_collisions=config.collect_collisions,
+                        dead_links=dead_links,
+                        recorder=protos[i]._flight,
+                    )
+                )
+            round_results = run_round_batch(calls)
 
-        next_live = []
-        for i, result in zip(live, round_results):
-            done = protos[i]._absorb_round(states[i], result)
-            if done or states[i].t >= config.max_rounds:
-                results[i] = protos[i]._finish_trial(states[i])
-            else:
-                next_live.append(i)
-        live = next_live
+            next_live = []
+            for i, result in zip(live, round_results):
+                done = protos[i]._absorb_round(states[i], result)
+                if done or states[i].t >= config.max_rounds:
+                    results[i] = protos[i]._finish_trial(states[i])
+                else:
+                    next_live.append(i)
+            live = next_live
     return results  # type: ignore[return-value]

@@ -31,8 +31,8 @@ Two robustness layers on top:
   of the same seed batch skips the already-completed indices -- the
   resumed batch returns bit-identical results because each trial
   depends only on its own seed. A checkpoint written for a *different*
-  seed batch (fingerprint mismatch) or by a different trial function,
-  runner config, or engine backend (context mismatch) is refused rather
+  seed batch (fingerprint mismatch) or by a different trial function or
+  runner config (context mismatch) is refused rather
   than silently mixing non-comparable results.
 * a :class:`~concurrent.futures.process.BrokenProcessPool` (a worker
   killed by the OOM killer, a segfaulting extension, ...) no longer
@@ -122,19 +122,10 @@ _UNSET = object()
 _WORKER_FN: Callable | None = None
 
 
-def _worker_init(payload: bytes, default_backend: str) -> None:
-    """Pool initializer: unpickle the trial function once per worker.
-
-    Also propagates the parent's default engine backend, so a driver's
-    single ``set_default_backend("vectorized")`` call covers the whole
-    pool (worker processes may be spawned, not forked, and then would
-    not inherit parent module state).
-    """
+def _worker_init(payload: bytes) -> None:
+    """Pool initializer: unpickle the trial function once per worker."""
     global _WORKER_FN
     _WORKER_FN = pickle.loads(payload)
-    from repro.core.engine import set_default_backend
-
-    set_default_backend(default_backend)
 
 
 def _worker_run(seed: int):
@@ -176,10 +167,10 @@ class _Checkpoint:
     trial, so a kill at any instant leaves either the previous or the
     next consistent state -- never a torn file. The fingerprint hashes
     the seed list and the context digest hashes the trial function's
-    description plus the active engine backend, together binding the
-    checkpoint to its batch: resuming with different seeds, a different
-    trial function/config, or a switched backend raises instead of
-    silently mixing non-comparable results.
+    description plus the runner config, together binding the checkpoint
+    to its batch: resuming with different seeds or a different trial
+    function/config raises instead of silently mixing non-comparable
+    results.
     """
 
     def __init__(
@@ -219,9 +210,9 @@ class _Checkpoint:
         if data.get("context") != self.context:
             raise TrialError(
                 f"checkpoint {self.path} was written by a different trial "
-                "function, runner config, or engine backend (context "
-                "mismatch); its results are not comparable -- delete it or "
-                "rerun with the original setup"
+                "function or runner config (context mismatch); its results "
+                "are not comparable -- delete it or rerun with the original "
+                "setup"
             )
         self.completed = {
             int(i): pickle.loads(base64.b64decode(blob))
@@ -320,9 +311,9 @@ class TrialRunner:
     then takes a **list of seeds** and returns one result per seed (in
     seed order), and the unit of work -- submitted, timed out, retried
     and checkpointed as one -- becomes a slice of up to ``batch_size``
-    outstanding trials instead of a single seed. This is how the
-    batched engine backend amortises its per-round array passes across
-    a worker's whole seed slice. Results, order, and checkpoint bytes
+    outstanding trials instead of a single seed. This is how lockstep
+    trials amortise the engine's per-round array passes across a
+    worker's whole seed slice. Results, order, and checkpoint bytes
     are required to be independent of the slice boundaries (each trial
     still depends only on its own seed); per-trial progress reports are
     preserved (one per trial, emitted when its unit settles).
@@ -382,11 +373,8 @@ class TrialRunner:
         ckpt: _Checkpoint | None = None
         preloaded: dict[int, object] = {}
         if self.checkpoint is not None:
-            from repro.core.engine import get_default_backend
-
             context = (
                 f"fn={_describe_trial_fn(self.fn)} "
-                f"backend={get_default_backend()} "
                 f"pool_rebuilds={self.pool_rebuilds}"
             )
             ckpt = _Checkpoint(self.checkpoint, seeds, context)
@@ -562,9 +550,7 @@ class TrialRunner:
         # The trial function crosses the process boundary exactly once
         # per worker (pool initializer), not once per submit: each
         # submit afterwards carries only the seed.
-        from repro.core.engine import get_default_backend
-
-        initargs = (pickle.dumps(self.fn), get_default_backend())
+        initargs = (pickle.dumps(self.fn),)
 
         def make_pool() -> ProcessPoolExecutor:
             return ProcessPoolExecutor(
@@ -802,9 +788,7 @@ class TrialRunner:
         executed = 0
         rebuilds = 0
         metrics.gauge("runner_pool_jobs", self.jobs)
-        from repro.core.engine import get_default_backend
-
-        initargs = (pickle.dumps(self.fn), get_default_backend())
+        initargs = (pickle.dumps(self.fn),)
         units = self._units(seeds, preloaded)
 
         def make_pool() -> ProcessPoolExecutor:

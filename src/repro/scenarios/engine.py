@@ -18,7 +18,7 @@ consequences, both pinned by tests:
 
 * with ``arrivals=None`` (drain mode) the engine replays the exact draw
   sequence of :class:`~repro.core.protocol.TrialAndFailureProtocol` and
-  produces bit-identical per-round records on either backend;
+  produces bit-identical per-round records;
 * a fixed (scenario, seed) pair yields an identical
   :meth:`StreamingResult.snapshot` on every run.
 """
@@ -485,7 +485,6 @@ class StreamingEngine:
             proto.rule,
             proto.tie_rule,
             metrics=self._metrics,
-            backend=proto.backend,
         )
 
     def _emit_window(self, window: dict, metrics, observe: bool) -> None:

@@ -460,16 +460,14 @@ def _record_scenario_run(
     ledger, *, spec, config, seed, result, started, wall, metrics
 ) -> str:
     """One ``kind="scenario"`` ledger row for a finished run."""
-    from repro.core.engine import get_default_backend
     from repro.observability.groupstats import GroupedStats
     from repro.observability.ledger import RunRecord, fingerprint_of, stable_repr
     from repro.observability.spans import get_profiler
     from repro.runners.protocol_trials import fault_label
 
-    backend = config.protocol.backend or get_default_backend()
     labels = {
         "workload": json.dumps(spec.workload, sort_keys=True),
-        "backend": backend,
+        "backend": "",
         "fault_model": fault_label(config.protocol),
         "scenario": spec.name,
     }
@@ -491,12 +489,11 @@ def _record_scenario_run(
         started_unix=started,
         wall_seconds=wall,
         workload=labels["workload"],
-        backend=backend,
         fault_model=labels["fault_model"],
         scenario=spec.name,
         seed=seed if isinstance(seed, int) else None,
         trials=None,
-        fingerprint=fingerprint_of(spec, backend, seed),
+        fingerprint=fingerprint_of(spec, seed),
         summary={
             "completed": result.completed,
             "rounds": result.rounds,

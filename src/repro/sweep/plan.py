@@ -85,14 +85,20 @@ def build_collection(workload: Mapping):
         raise SweepError(f"bad {kind} workload params: {exc}") from exc
 
 
+#: Config keys that plans written by older versions carry but that no
+#: longer configure anything (``backend`` once picked the engine's round
+#: kernel). Loading drops them; the plan digest then differs from the
+#: stored one, so such a sweep's journal refuses to resume.
+_RETIRED_CONFIG_KEYS = frozenset({"backend"})
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """One cell of the sweep grid: a workload routed under one config.
 
     ``faults`` uses the :func:`repro.faults.parse_fault_spec` grammar
-    (None or ``"none"`` = fault-free); ``backend`` pins the engine
-    kernel inside worker processes (None = process default). ``trials``
-    and ``seed`` define the child-seed range this config owns.
+    (None or ``"none"`` = fault-free). ``trials`` and ``seed`` define
+    the child-seed range this config owns.
     """
 
     workload: dict = field(default_factory=lambda: {"kind": "mesh", "side": 4, "d": 2})
@@ -102,7 +108,6 @@ class SweepConfig:
     worm_length: int = 4
     max_rounds: int = 400
     faults: str | None = None
-    backend: str | None = None
 
     def __post_init__(self) -> None:
         if self.trials < 1:
@@ -115,14 +120,6 @@ class SweepConfig:
             )
         if self.max_rounds < 1:
             raise SweepError(f"max_rounds must be >= 1, got {self.max_rounds}")
-        if self.backend is not None:
-            from repro.core.engine import BACKENDS
-
-            if self.backend not in BACKENDS:
-                raise SweepError(
-                    f"unknown backend {self.backend!r}; "
-                    f"expected one of {BACKENDS}"
-                )
 
     def fault_model(self):
         """The parsed fault model (None when fault-free)."""
@@ -141,7 +138,6 @@ class SweepConfig:
             worm_length=self.worm_length,
             max_rounds=self.max_rounds,
             faults=self.fault_model(),
-            backend=self.backend,
         )
 
     def child_seeds(self) -> list[int]:
@@ -175,7 +171,7 @@ class SweepPlan:
     ``shard_size`` bounds trials per shard (the retry / checkpoint
     granularity); the last shard of each config may be smaller. Configs
     never share a shard, so every shard's results carry exactly one
-    (workload, backend, fault-model) label set.
+    (workload, fault-model) label set.
     """
 
     name: str = "sweep"
@@ -236,7 +232,15 @@ class SweepPlan:
             )
         try:
             built = tuple(
-                SweepConfig(**dict(c)) if not isinstance(c, SweepConfig) else c
+                c
+                if isinstance(c, SweepConfig)
+                else SweepConfig(
+                    **{
+                        k: v
+                        for k, v in dict(c).items()
+                        if k not in _RETIRED_CONFIG_KEYS
+                    }
+                )
                 for c in configs
             )
         except TypeError as exc:
@@ -286,7 +290,6 @@ def default_plan(
     worm_length: int = 4,
     max_rounds: int = 400,
     faults: tuple[str | None, ...] = (None, "transient:rate=0.02"),
-    backend: str | None = None,
 ) -> SweepPlan:
     """The CLI's flag-built plan: one mesh workload per fault model.
 
@@ -303,7 +306,6 @@ def default_plan(
             worm_length=worm_length,
             max_rounds=max_rounds,
             faults=spec,
-            backend=backend,
         )
         for spec in faults
     )

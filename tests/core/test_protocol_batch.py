@@ -1,14 +1,12 @@
 """Lockstep protocol batching: ``run_protocol_batch`` vs serial trials.
 
-The batched backend runs many seeds' trials in lockstep -- one
+``run_protocol_batch`` runs many seeds' trials in lockstep -- one
 ``run_round_batch`` call per round across all live trials, and a bulk
 congestion oracle between rounds -- but every per-trial observable must
 be bit-identical to ``route_collection(collection, config, seed)`` run
 alone: the full ``ProtocolResult`` (records, collision counts, repairs),
 per-trial metric counters and gauges, and the flight-recorder trace.
 """
-
-from dataclasses import replace
 
 import pytest
 
@@ -76,30 +74,49 @@ class TestBitIdentity:
         assert run_protocol_batch(collection, CONFIGS[0], []) == []
 
     def test_per_trial_metrics_match_serial(self, collection):
-        # The serial baseline runs vectorized: counters the batch kernel
-        # shares with that family (e.g. engine_free_events_total) are
-        # never emitted by the scalar backend.
-        config = replace(CONFIGS[-1], backend="vectorized")
+        # Every counter, engine_free_events_total included: a round takes
+        # the same event walk serially as in the lockstep batch.
+        config = CONFIGS[-1]
         serial_snaps = []
         for s in SEEDS:
             reg = MetricsRegistry()
             TrialAndFailureProtocol(collection, config, metrics=reg).run(s)
             serial_snaps.append(_strip(reg.snapshot()))
         registries = [MetricsRegistry() for _ in SEEDS]
-        run_protocol_batch(collection, CONFIGS[-1], SEEDS, metrics=registries)
+        run_protocol_batch(collection, config, SEEDS, metrics=registries)
         batch_snaps = [_strip(r.snapshot()) for r in registries]
         assert batch_snaps == serial_snaps
 
     def test_shared_registry_equals_merged_serial(self, collection):
-        config = replace(CONFIGS[0], backend="vectorized")
+        config = CONFIGS[0]
         merged = MetricsRegistry()
         for s in SEEDS:
             reg = MetricsRegistry()
             TrialAndFailureProtocol(collection, config, metrics=reg).run(s)
             merged.merge(reg.snapshot())
         shared = MetricsRegistry()
-        run_protocol_batch(collection, CONFIGS[0], SEEDS, metrics=shared)
+        run_protocol_batch(collection, config, SEEDS, metrics=shared)
         assert _strip(shared.snapshot()) == _strip(merged.snapshot())
+
+    def test_partitioned_rounds_metrics_match_serial(
+        self, collection, monkeypatch
+    ):
+        # Crossover 0: every round takes the columnar partition, serially
+        # and stacked in the lockstep batch alike.
+        import repro.core.engine as engine_mod
+
+        monkeypatch.setattr(engine_mod, "_PARTITION_MIN_EVENTS", 0)
+        config = CONFIGS[0]
+        serial_snaps = []
+        for s in SEEDS:
+            reg = MetricsRegistry()
+            TrialAndFailureProtocol(collection, config, metrics=reg).run(s)
+            serial_snaps.append(_strip(reg.snapshot()))
+        registries = [MetricsRegistry() for _ in SEEDS]
+        run_protocol_batch(collection, config, SEEDS, metrics=registries)
+        assert [_strip(r.snapshot()) for r in registries] == serial_snaps
+        free = serial_snaps[0]["engine_free_events_total"]
+        assert sum(free.values()) > 0
 
     def test_metrics_sequence_length_mismatch_raises(self, collection):
         with pytest.raises(ProtocolError, match="metrics"):

@@ -317,7 +317,11 @@ class TestReportObservability:
 
 
 class TestBackendFlagRegistry:
-    """Every --backend flag derives its choices from the engine registry."""
+    """No subcommand selects an engine kernel: there is only one.
+
+    The only ``--backend`` left is the ``repro runs`` filter over the
+    historical backend labels of ledger rows.
+    """
 
     @staticmethod
     def _backend_actions(parser):
@@ -332,24 +336,29 @@ class TestBackendFlagRegistry:
             for action in p._actions:
                 if isinstance(action, argparse._SubParsersAction):
                     stack.extend(action.choices.values())
-                elif ("--backend" in action.option_strings
-                      and action.dest == "backend"):
+                elif "--backend" in action.option_strings:
                     found.append(action)
         return found
 
-    def test_choices_match_engine_registry_everywhere(self):
-        from repro.core.engine import BACKENDS
-
+    def test_no_kernel_backend_flag(self):
         actions = self._backend_actions(build_parser())
-        # run, demo, faults sweep/replay, scenario subcommands, sweep run...
-        assert len(actions) >= 5
+        # runs list and runs groups filter ledger rows by their label.
+        assert len(actions) == 2
         for action in actions:
-            assert tuple(action.choices) == BACKENDS
+            assert action.dest == "runs_backend"
+            assert action.choices is None
+
+    def test_backend_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["run", "e_t16", "--trials", "1", "--backend", "python"])
+        assert "--backend" in capsys.readouterr().err
 
     def test_batched_run_smoke(self, capsys):
-        assert main(
-            ["run", "e_pred", "--trials", "2", "--seed", "1",
-             "--backend", "batched"]
-        ) == 0
+        # Two trials on one job form one lockstep slice.
+        assert main(["run", "e_pred", "--trials", "2", "--seed", "1"]) == 0
         out = capsys.readouterr().out
         assert "done in" in out
+
+    def test_profile_shows_lockstep_protocol_rounds(self, capsys):
+        assert main(["run", "e_pred", "--trials", "4", "--profile"]) == 0
+        assert "protocol.round" in capsys.readouterr().out

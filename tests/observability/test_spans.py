@@ -213,6 +213,25 @@ class TestEngineInstrumentation:
             == result.rounds
         )
 
+    def test_lockstep_rounds_emit_protocol_round_spans(self):
+        from repro.core.protocol import ProtocolConfig, run_protocol_batch
+
+        coll = type2_bundle(congestion=4, D=6).collection
+        prof = enable_profiling()
+        try:
+            results = run_protocol_batch(
+                coll, ProtocolConfig(bandwidth=2), [7, 8, 9]
+            )
+        finally:
+            disable_profiling()
+        snap = prof.snapshot()
+        rounds = max(r.rounds for r in results)
+        assert snap["protocol.round"]["count"] == rounds
+        assert (
+            snap["protocol.round/engine.round_batch/engine.resolve"]["count"]
+            == rounds
+        )
+
     def test_profiled_run_matches_unprofiled(self):
         coll = type2_bundle(congestion=4, D=6).collection
         plain = route_collection(coll, bandwidth=2, rng=3)

@@ -1,17 +1,31 @@
-"""Differential testing: vectorized round kernel vs the scalar engine.
+"""Differential testing: both event walks of the round kernel vs the oracle.
 
-The vectorized backend must be *bit-identical* to the python one -- not
-merely equivalent on outcome kinds -- because checkpoint resume, golden
-traces and the CI perf gate all assume a backend is an implementation
-detail. So unlike ``test_differential_engine`` (which compares against
-the brute-force reference and tolerates legitimate blocker-identity
-differences), these tests assert full ``RoundResult`` equality including
-collision events and faulted-link order, plus equality of the flight-
-recorder stream and a replay cross-check of vectorized traces.
+The engine has one round kernel with two event walks, chosen per round
+from its head-event count (``_PARTITION_MIN_EVENTS``): small rounds sort
+plain tuples and walk every group through the scalar resolver, large
+rounds partition columnar arrays first and walk only the contended
+subset. Every test here runs each instance through *both* walks by
+patching the crossover to 0 (always partition) and to a huge value
+(always the tuple walk), and checks each against the brute-force
+:func:`~repro.core.reference.reference_run_round`, which shares no
+algorithmic structure with the engine. Blocker identities may
+legitimately differ from the reference in all-lose ties, so that
+comparison covers the observables (outcome kind, flit counts, cut
+positions, completion times, makespan). The two walks must moreover be
+*bit-identical* to each other -- full ``RoundResult`` equality including
+collision events and faulted-link order, plus the flight-recorder
+stream -- because checkpoint resume, golden traces and lockstep trials
+all assume the walk is an implementation detail.
+
+The class and test names predate the single kernel, when the three
+compared implementations were selectable backends.
 """
+
+import contextlib
 
 from hypothesis import given, settings, strategies as st
 
+import repro.core.engine as engine_mod
 from repro.core.engine import RoundCall, RoutingEngine, run_round_batch
 from repro.core.reference import reference_run_round
 from repro.observability.analysis import verify_replay
@@ -27,6 +41,22 @@ RULES = [
     (CollisionRule.PRIORITY, TieRule.ALL_LOSE),
     (CollisionRule.PRIORITY, TieRule.LOWEST_ID_WINS),
 ]
+
+#: Crossover values forcing each walk: 0 partitions every round, a huge
+#: value sends every round through the tuple walk.
+PARTITION, TUPLE_WALK = 0, 10**9
+WALKS = (PARTITION, TUPLE_WALK)
+
+
+@contextlib.contextmanager
+def crossover(value):
+    """Patch the kernel's event-count crossover for the block."""
+    saved = engine_mod._PARTITION_MIN_EVENTS
+    engine_mod._PARTITION_MIN_EVENTS = value
+    try:
+        yield
+    finally:
+        engine_mod._PARTITION_MIN_EVENTS = saved
 
 
 @st.composite
@@ -82,9 +112,8 @@ class _Collector:
         self.records.append({"kind": kind, **fields})
 
 
-def _round(worms, launches, rule, tie_rule, backend, dead_links=(),
-           recorder=None):
-    return RoutingEngine(worms, rule, tie_rule, backend=backend).run_round(
+def _round(worms, launches, rule, tie_rule, dead_links=(), recorder=None):
+    return RoutingEngine(worms, rule, tie_rule).run_round(
         launches,
         collect_collisions=True,
         dead_links=dead_links or None,
@@ -94,10 +123,9 @@ def _round(worms, launches, rule, tie_rule, backend, dead_links=(),
 
 def _batch_round(worms, launches, rule, tie_rule, dead_links=(),
                  recorder=None):
-    """One round through the batch kernel (a singleton batch)."""
-    engine = RoutingEngine(worms, rule, tie_rule, backend="batched")
+    """One round through ``run_round_batch`` (a singleton batch)."""
     call = RoundCall(
-        engine=engine,
+        engine=RoutingEngine(worms, rule, tie_rule),
         launches=launches,
         collect_collisions=True,
         dead_links=dead_links or None,
@@ -107,20 +135,38 @@ def _batch_round(worms, launches, rule, tie_rule, dead_links=(),
     return result
 
 
+def _assert_matches_reference(fast, worms, launches, dead_links, rule,
+                              tie_rule):
+    slow = reference_run_round(worms, launches, rule, tie_rule,
+                               dead_links=dead_links or None)
+    assert set(fast.outcomes) == set(slow.outcomes)
+    for uid in fast.outcomes:
+        f, s = fast.outcomes[uid], slow.outcomes[uid]
+        assert f.delivered == s.delivered, (uid, f, s)
+        assert f.delivered_flits == s.delivered_flits, (uid, f, s)
+        assert f.failure == s.failure, (uid, f, s)
+        assert f.failed_at_link == s.failed_at_link, (uid, f, s)
+        assert f.completion_time == s.completion_time, (uid, f, s)
+    assert fast.makespan == slow.makespan
+
+
 def _compare(worms, launches, dead_links, rule, tie_rule):
-    py = _round(worms, launches, rule, tie_rule, "python", dead_links)
-    vec = _round(worms, launches, rule, tie_rule, "vectorized", dead_links)
-    bat = _round(worms, launches, rule, tie_rule, "batched", dead_links)
-    kern = _batch_round(worms, launches, rule, tie_rule, dead_links)
-    # Full structural equality: outcomes (including blocker identities),
-    # the collision event sequence in order, makespan, faulted links --
-    # three-way across backends, plus the stacked batch kernel itself.
-    assert py == vec, (py, vec)
-    assert py == bat, (py, bat)
-    assert py == kern, (py, kern)
-    assert py.faulted_links == vec.faulted_links
-    assert py.faulted_links == bat.faulted_links
-    assert py.faulted_links == kern.faulted_links
+    results = []
+    for walk in WALKS:
+        with crossover(walk):
+            solo = _round(worms, launches, rule, tie_rule, dead_links)
+            kern = _batch_round(worms, launches, rule, tie_rule, dead_links)
+        assert solo == kern, (walk, solo, kern)
+        assert solo.faulted_links == kern.faulted_links, walk
+        _assert_matches_reference(solo, worms, launches, dead_links, rule,
+                                  tie_rule)
+        results.append(solo)
+    part, tup = results
+    # Full structural equality across the walks: outcomes (including
+    # blocker identities), the collision event sequence in order,
+    # makespan, faulted links.
+    assert part == tup, (part, tup)
+    assert part.faulted_links == tup.faulted_links
 
 
 class TestBackendBitIdentity:
@@ -153,31 +199,65 @@ class TestBackendBitIdentity:
 
 
 class TestVectorizedVsReference:
-    """Triangulate: vectorized vs the per-flit brute-force simulator.
-
-    Blocker identities may legitimately differ in all-lose ties, so this
-    compares the observables (as ``test_differential_engine`` does for
-    the scalar engine), closing the loop vectorized == scalar ==
-    reference.
-    """
+    """The columnar partition vs the per-flit brute-force simulator."""
 
     @given(instances(max_dead=0))
     @settings(max_examples=100, deadline=None)
     def test_serve_first(self, inst):
         worms, launches, _ = inst
-        fast = _round(worms, launches, CollisionRule.SERVE_FIRST,
-                      TieRule.ALL_LOSE, "vectorized")
-        slow = reference_run_round(worms, launches, CollisionRule.SERVE_FIRST,
-                                   TieRule.ALL_LOSE)
-        assert set(fast.outcomes) == set(slow.outcomes)
-        for uid in fast.outcomes:
-            f, s = fast.outcomes[uid], slow.outcomes[uid]
-            assert f.delivered == s.delivered, (uid, f, s)
-            assert f.delivered_flits == s.delivered_flits, (uid, f, s)
-            assert f.failure == s.failure, (uid, f, s)
-            assert f.failed_at_link == s.failed_at_link, (uid, f, s)
-            assert f.completion_time == s.completion_time, (uid, f, s)
-        assert fast.makespan == slow.makespan
+        with crossover(PARTITION):
+            fast = _round(worms, launches, CollisionRule.SERVE_FIRST,
+                          TieRule.ALL_LOSE)
+        _assert_matches_reference(fast, worms, launches, (),
+                                  CollisionRule.SERVE_FIRST, TieRule.ALL_LOSE)
+
+
+class TestCrossoverBoundary:
+    """Rounds of exactly N-1 and N head events, N the real crossover."""
+
+    def test_one_below_and_at_crossover(self, monkeypatch):
+        n = engine_mod._PARTITION_MIN_EVENTS
+        # Two-link worms around a 7-node ring plus one or two single-link
+        # worms, N events in all; dropping one single-link worm leaves
+        # N-1. Tight delays on two wavelengths make both rounds contend.
+        singles = 1 if (n - 1) % 2 == 0 else 2
+        ring = 7
+        worms = [
+            Worm(uid=i, path=(i % ring, (i + 1) % ring, (i + 2) % ring),
+                 length=3)
+            for i in range((n - singles) // 2)
+        ]
+        worms += [
+            Worm(uid=len(worms) + k, path=(k, k + 1), length=3)
+            for k in range(singles)
+        ]
+        launches = [
+            Launch(worm=w.uid, delay=(5 * w.uid) % 11, wavelength=w.uid % 2,
+                   priority=w.uid)
+            for w in worms
+        ]
+        assert sum(w.n_links for w in worms) == n
+        walks = []
+        spy = engine_mod.RoutingEngine._apply_partition
+
+        def counting(self, *args, **kwargs):
+            walks.append("partition")
+            return spy(self, *args, **kwargs)
+
+        monkeypatch.setattr(engine_mod.RoutingEngine, "_apply_partition",
+                            counting)
+        for rule, tie_rule in RULES:
+            for subset, walk in ((launches[:-1], None),
+                                 (launches, "partition")):
+                walks.clear()
+                actual = _round(worms, subset, rule, tie_rule)
+                assert walks == ([walk] if walk else [])
+                assert actual.collisions
+                _assert_matches_reference(actual, worms, subset, (), rule,
+                                          tie_rule)
+                for forced in WALKS:
+                    with crossover(forced):
+                        assert _round(worms, subset, rule, tie_rule) == actual
 
 
 class TestRecorderStream:
@@ -186,76 +266,75 @@ class TestRecorderStream:
     def test_flight_records_bit_identical(self, inst):
         worms, launches, dead_links = inst
         streams = []
-        for backend in ("python", "vectorized", "batched", "batch-kernel"):
-            collector = _Collector()
-            fr = FlightRecorder(collector)
-            fr.describe_worms(worms)
-            fr.begin_round(1)
-            if backend == "batch-kernel":
-                result = _batch_round(worms, launches,
-                                      CollisionRule.SERVE_FIRST,
-                                      TieRule.ALL_LOSE, dead_links,
-                                      recorder=fr)
-            else:
-                result = _round(worms, launches, CollisionRule.SERVE_FIRST,
-                                TieRule.ALL_LOSE, backend, dead_links,
-                                recorder=fr)
-            fr.end_round(result.makespan)
-            streams.append(collector.records)
+        for walk in WALKS:
+            for batched in (False, True):
+                collector = _Collector()
+                fr = FlightRecorder(collector)
+                fr.describe_worms(worms)
+                fr.begin_round(1)
+                run = _batch_round if batched else _round
+                with crossover(walk):
+                    result = run(worms, launches, CollisionRule.SERVE_FIRST,
+                                 TieRule.ALL_LOSE, dead_links, recorder=fr)
+                fr.end_round(result.makespan)
+                streams.append(collector.records)
         assert all(s == streams[0] for s in streams[1:])
 
     @given(instances())
     @settings(max_examples=75, deadline=None)
     def test_vectorized_trace_replays(self, inst):
         # The replay verifier re-derives the makespan from the recorded
-        # events alone; a vectorized trace must satisfy it just like a
-        # scalar one (free-run records included).
+        # events alone; a partitioned round's trace must satisfy it just
+        # like a tuple-walk one (free-run records included).
         worms, launches, dead_links = inst
-        collector = _Collector()
-        fr = FlightRecorder(collector)
-        fr.describe_worms(worms)
-        fr.begin_round(1)
-        result = _round(worms, launches, CollisionRule.PRIORITY,
-                        TieRule.ALL_LOSE, "vectorized", dead_links,
-                        recorder=fr)
-        fr.end_round(result.makespan)
-        report = verify_replay(collector)
-        assert report.rounds_checked == 1
-        assert report.mismatches == ()
+        for walk in WALKS:
+            collector = _Collector()
+            fr = FlightRecorder(collector)
+            fr.describe_worms(worms)
+            fr.begin_round(1)
+            with crossover(walk):
+                result = _round(worms, launches, CollisionRule.PRIORITY,
+                                TieRule.ALL_LOSE, dead_links, recorder=fr)
+            fr.end_round(result.makespan)
+            report = verify_replay(collector)
+            assert report.rounds_checked == 1
+            assert report.mismatches == ()
 
 
 class TestBatchKernelStacking:
     """Many trials stacked into ONE ``run_round_batch`` call.
 
-    The batched backend's whole claim is that stacking K independent
-    rounds into one set of ``(trial, link, wavelength)``-keyed arrays
-    changes nothing: every trial's RoundResult -- and its recorder
-    stream -- must equal the same trial run alone through the scalar
-    engine.
+    Stacking K independent rounds into one set of
+    ``(trial, link, wavelength)``-keyed arrays must change nothing:
+    every trial's RoundResult -- and its recorder stream -- must equal
+    the same trial run alone through the tuple walk.
     """
 
     @given(st.lists(instances(), min_size=2, max_size=4))
     @settings(max_examples=60, deadline=None)
     def test_stacked_rounds_bit_identical(self, insts):
         for rule, tie_rule in RULES:
-            solo = [
-                _round(worms, launches, rule, tie_rule, "python", dead)
-                for worms, launches, dead in insts
-            ]
+            with crossover(TUPLE_WALK):
+                solo = [
+                    _round(worms, launches, rule, tie_rule, dead)
+                    for worms, launches, dead in insts
+                ]
             calls = [
                 RoundCall(
-                    engine=RoutingEngine(worms, rule, tie_rule,
-                                         backend="batched"),
+                    engine=RoutingEngine(worms, rule, tie_rule),
                     launches=launches,
                     collect_collisions=True,
                     dead_links=dead or None,
                 )
                 for worms, launches, dead in insts
             ]
-            stacked = run_round_batch(calls)
+            with crossover(PARTITION):
+                stacked = run_round_batch(calls)
             for i, (a, b) in enumerate(zip(solo, stacked)):
                 assert a == b, (i, a, b)
                 assert a.faulted_links == b.faulted_links, i
+                _assert_matches_reference(b, *insts[i][:2], insts[i][2],
+                                          rule, tie_rule)
 
     @given(st.lists(instances(), min_size=2, max_size=3))
     @settings(max_examples=40, deadline=None)
@@ -267,8 +346,9 @@ class TestBatchKernelStacking:
             fr = FlightRecorder(collector)
             fr.describe_worms(worms)
             fr.begin_round(1)
-            result = _round(worms, launches, CollisionRule.SERVE_FIRST,
-                            TieRule.ALL_LOSE, "python", dead, recorder=fr)
+            with crossover(TUPLE_WALK):
+                result = _round(worms, launches, CollisionRule.SERVE_FIRST,
+                                TieRule.ALL_LOSE, dead, recorder=fr)
             fr.end_round(result.makespan)
             solo_streams.append(collector.records)
 
@@ -280,7 +360,7 @@ class TestBatchKernelStacking:
         calls = [
             RoundCall(
                 engine=RoutingEngine(worms, CollisionRule.SERVE_FIRST,
-                                     TieRule.ALL_LOSE, backend="batched"),
+                                     TieRule.ALL_LOSE),
                 launches=launches,
                 collect_collisions=True,
                 dead_links=dead or None,
@@ -288,7 +368,8 @@ class TestBatchKernelStacking:
             )
             for i, (worms, launches, dead) in enumerate(insts)
         ]
-        results = run_round_batch(calls)
+        with crossover(PARTITION):
+            results = run_round_batch(calls)
         for (fr2, collector2), result in zip(recorders, results):
             fr2.end_round(result.makespan)
             stacked_streams.append(collector2.records)

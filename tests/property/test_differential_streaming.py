@@ -3,7 +3,7 @@
 With ``arrivals=None`` the streaming engine promises to replay
 :class:`~repro.core.protocol.TrialAndFailureProtocol` *bit-for-bit*: the
 same per-round draw order against the same root generator, on either
-backend. Hypothesis drives random small workloads (mesh backlogs with
+event walk of the round kernel. Hypothesis drives random small workloads (mesh backlogs with
 varying bandwidth, worm length, collision rule, fault rate and backoff)
 and asserts full per-round record equality, so any drift in the mirrored
 round loop -- an extra RNG draw, a reordered fault call, a different
@@ -12,6 +12,7 @@ congestion source -- fails loudly rather than skewing scenario results.
 
 from hypothesis import given, settings, strategies as st
 
+import repro.core.engine as engine_mod
 from repro._util import as_generator, spawn_generator
 from repro.core.protocol import ProtocolConfig, TrialAndFailureProtocol
 from repro.faults.models import TransientLinkFaults
@@ -32,7 +33,8 @@ def drain_instances(draw):
                                  CollisionRule.PRIORITY]))
     fault_rate = draw(st.sampled_from([0.0, 0.05, 0.15]))
     backoff_after = draw(st.sampled_from([0, 2]))
-    backend = draw(st.sampled_from(["python", "vectorized", "batched"]))
+    # Kernel crossover: 0 partitions every round, 10**9 never does.
+    walk = draw(st.sampled_from([0, 10**9]))
 
     net = build_network({"kind": "mesh", "side": 3})
     rng = as_generator(seed)
@@ -48,20 +50,26 @@ def drain_instances(draw):
         faults=TransientLinkFaults(fault_rate) if fault_rate else None,
         backoff_after=backoff_after,
         backoff_cooldown=1 if backoff_after else 0,
-        backend=backend,
     )
     run_seed = draw(st.integers(0, 2**32 - 1))
-    return coll, proto, run_seed
+    return coll, proto, run_seed, walk
 
 
 @given(drain_instances())
 @settings(max_examples=40, deadline=None)
 def test_drain_mode_replays_static_protocol(instance):
-    coll, proto, run_seed = instance
-    static = TrialAndFailureProtocol(coll, proto).run(as_generator(run_seed))
-    stream = StreamingEngine(
-        StreamingConfig(protocol=proto), collection=coll
-    ).run(as_generator(run_seed))
+    coll, proto, run_seed, walk = instance
+    saved = engine_mod._PARTITION_MIN_EVENTS
+    engine_mod._PARTITION_MIN_EVENTS = walk
+    try:
+        static = TrialAndFailureProtocol(coll, proto).run(
+            as_generator(run_seed)
+        )
+        stream = StreamingEngine(
+            StreamingConfig(protocol=proto), collection=coll
+        ).run(as_generator(run_seed))
+    finally:
+        engine_mod._PARTITION_MIN_EVENTS = saved
 
     assert stream.completed == static.completed
     assert stream.rounds == static.rounds

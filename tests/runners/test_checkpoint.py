@@ -125,30 +125,35 @@ class TestCheckpointGuards:
             ).run_seeds([1, 2])
 
     def test_backend_switch_refused_after_kill(self, tmp_path):
-        """Kill mid-batch, flip the engine backend, attempt resume: refused."""
-        from repro.core.engine import get_default_backend, set_default_backend
+        """A checkpoint killed under an engine-backend context is refused.
+
+        Checkpoints written while the engine had selectable backends
+        folded ``backend=<name>`` into their context. Resuming one must
+        fail with the ordinary context-mismatch error, whose text no
+        longer names an engine backend.
+        """
+        from repro.runners.trial import _Checkpoint, _describe_trial_fn
 
         ckpt = tmp_path / "batch.json"
         seeds = spawn_seeds(21, 6)
-        original = get_default_backend()
-        try:
-            set_default_backend("python")
-            with pytest.raises(_Abort):
-                TrialRunner(
-                    _double, checkpoint=ckpt, progress=_abort_after(3)
-                ).run_seeds(seeds)
-            assert ckpt.exists()
+        old = _Checkpoint(
+            ckpt,
+            seeds,
+            f"fn={_describe_trial_fn(_double)} backend=python pool_rebuilds=3",
+        )
+        old.record_many([0, 1, 2], [s * 2 for s in seeds[:3]])
+        with pytest.raises(TrialError, match="context mismatch") as info:
+            TrialRunner(_double, checkpoint=ckpt).run_seeds(seeds)
+        assert "backend" not in str(info.value).replace(str(ckpt), "")
 
-            set_default_backend("vectorized")
-            with pytest.raises(TrialError, match="context mismatch"):
-                TrialRunner(_double, checkpoint=ckpt).run_seeds(seeds)
-
-            # Back on the original backend the resume is bit-identical.
-            set_default_backend("python")
-            resumed = TrialRunner(_double, checkpoint=ckpt).run_seeds(seeds)
-            assert resumed == [s * 2 for s in seeds]
-        finally:
-            set_default_backend(original)
+        # A checkpoint killed under today's context resumes bit-identically.
+        ckpt.unlink()
+        with pytest.raises(_Abort):
+            TrialRunner(
+                _double, checkpoint=ckpt, progress=_abort_after(3)
+            ).run_seeds(seeds)
+        resumed = TrialRunner(_double, checkpoint=ckpt).run_seeds(seeds)
+        assert resumed == [s * 2 for s in seeds]
 
 
 class TestPoolResume:

@@ -4,13 +4,12 @@ The pool's initializer unpickles the trial function once per worker and
 each submit carries only the seed, so a heavyweight callable (closing
 over a large path collection, say) is deserialized ``jobs`` times per
 batch instead of ``trials`` times. These tests pin that contract: the
-unpickle count is bounded by the worker count, results stay identical
-to serial, and the process-default backend travels into workers.
+unpickle count is bounded by the worker count and results stay
+identical to serial.
 """
 
 import os
 
-from repro.core.engine import get_default_backend, set_default_backend
 from repro.runners import TrialRunner
 
 
@@ -33,10 +32,6 @@ class CountingTrial:
         return seed % 97
 
 
-def _report_backend(seed):
-    return get_default_backend()
-
-
 class TestWorkerSharing:
     def test_fn_unpickled_once_per_worker(self, tmp_path):
         marker = tmp_path / "unpickles.txt"
@@ -51,15 +46,3 @@ class TestWorkerSharing:
         # trial. (A worker may not start if the batch drains first.)
         assert 1 <= len(lines) <= 2, lines
         assert len(lines) < 12
-
-    def test_default_backend_propagates_to_workers(self):
-        set_default_backend("vectorized")
-        try:
-            results = TrialRunner(_report_backend, jobs=2).run(6, seed=0)
-        finally:
-            set_default_backend("python")
-        assert results == ["vectorized"] * 6
-
-    def test_python_default_in_workers(self):
-        results = TrialRunner(_report_backend, jobs=2).run(4, seed=0)
-        assert results == ["python"] * 4

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro._util import as_generator, spawn_generator
-from repro.core.engine import set_default_backend
+import repro.core.engine as engine_mod
 from repro.core.protocol import ProtocolConfig, TrialAndFailureProtocol
 from repro.errors import ScenarioError
 from repro.faults.models import TransientLinkFaults
@@ -55,17 +55,19 @@ def _assert_drain_matches_static(proto, coll, seed=77):
         )
 
 
-class TestDrainModeEquivalence:
-    @pytest.mark.parametrize("backend", ["python", "vectorized", "batched"])
-    def test_bit_identical_to_static_protocol(self, backend):
-        _, coll, _ = _backlog_collection(n_worms=28)
-        proto = ProtocolConfig(
-            bandwidth=2, max_rounds=200, backend=backend
-        )
-        _assert_drain_matches_static(proto, coll)
+#: Kernel crossovers forcing each event walk: always partition, never.
+WALKS = (0, 10**9)
 
-    @pytest.mark.parametrize("backend", ["python", "vectorized", "batched"])
-    def test_bit_identical_under_faults_and_backoff(self, backend):
+
+class TestDrainModeEquivalence:
+    def test_bit_identical_to_static_protocol(self, monkeypatch):
+        _, coll, _ = _backlog_collection(n_worms=28)
+        proto = ProtocolConfig(bandwidth=2, max_rounds=200)
+        for walk in WALKS:
+            monkeypatch.setattr(engine_mod, "_PARTITION_MIN_EVENTS", walk)
+            _assert_drain_matches_static(proto, coll)
+
+    def test_bit_identical_under_faults_and_backoff(self, monkeypatch):
         _, coll, _ = _backlog_collection(n_worms=20)
         proto = ProtocolConfig(
             bandwidth=2,
@@ -73,9 +75,10 @@ class TestDrainModeEquivalence:
             faults=TransientLinkFaults(0.05),
             backoff_after=3,
             backoff_cooldown=2,
-            backend=backend,
         )
-        _assert_drain_matches_static(proto, coll)
+        for walk in WALKS:
+            monkeypatch.setattr(engine_mod, "_PARTITION_MIN_EVENTS", walk)
+            _assert_drain_matches_static(proto, coll)
 
     def test_static_drain_scenario_matches_static_protocol(self):
         # The registry's drain scenario, end to end: same seed, same
@@ -107,13 +110,13 @@ class TestDeterminism:
         assert a.latencies == b.latencies
         assert dict(a.admitted_round) == dict(b.admitted_round)
 
-    def test_backends_agree_on_streaming_runs(self):
-        try:
-            set_default_backend("vectorized")
-            vec = run_scenario("baseline", seed=3).snapshot()
-        finally:
-            set_default_backend("python")
-        assert vec == run_scenario("baseline", seed=3).snapshot()
+    def test_backends_agree_on_streaming_runs(self, monkeypatch):
+        # Both event walks of the one round kernel (once two backends).
+        snapshots = []
+        for walk in WALKS:
+            monkeypatch.setattr(engine_mod, "_PARTITION_MIN_EVENTS", walk)
+            snapshots.append(run_scenario("baseline", seed=3).snapshot())
+        assert snapshots[0] == snapshots[1]
 
     def test_different_seeds_differ(self):
         a = run_scenario("baseline", seed=1).snapshot()
