@@ -178,16 +178,21 @@ class PathCollection:
         can produce is an integer below ``2**24``) while the cache stays
         small; None when the collection exceeds
         ``_SHARE_MATRIX_MAX_PATHS`` and the dense form would not pay.
+        Built one link at a time from the paths crossing it, so no dense
+        path x link incidence matrix (and no matmul workspace) is ever
+        allocated.
         """
         n = self.n
         if n > _SHARE_MATRIX_MAX_PATHS:
             return None
-        incidence = np.zeros((n, len(self.links)), dtype=np.float32)
-        link_col = {link: col for col, link in enumerate(self.links)}
+        crossing: dict[tuple, list[int]] = {}
         for pid, path in enumerate(self._paths):
-            for a, b in zip(path, path[1:]):
-                incidence[pid, link_col[(a, b)]] = 1.0
-        shares = (incidence @ incidence.T) > 0
+            for link in zip(path, path[1:]):
+                crossing.setdefault(link, []).append(pid)
+        shares = np.zeros((n, n), dtype=bool)
+        for pids in crossing.values():
+            idx = np.asarray(pids)
+            shares[np.ix_(idx, idx)] = True
         return shares.astype(np.float32)
 
     def subset_congestion_batch(
