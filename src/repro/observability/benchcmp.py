@@ -147,7 +147,12 @@ def _normalise_baseline(payload: dict, path: str) -> dict[str, BenchSample]:
 
 
 def _normalise_series(payload: dict, path: str) -> dict[str, BenchSample]:
-    """An ``engine_series`` file reduced to the latest sample per backend."""
+    """An ``engine_series`` file reduced to the latest sample per backend.
+
+    The backend label is historical: samples from before the field and
+    from the engine's one round kernel carry none and file under
+    ``python``, the old default kernel.
+    """
     out: dict[str, BenchSample] = {}
     for raw in payload.get("samples", ()):
         backend = str(raw.get("backend") or "python")
