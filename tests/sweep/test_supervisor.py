@@ -190,3 +190,35 @@ class TestResume:
         ).resume()
         assert report.counts["done"] == 4
         assert report.counts["leased"] == 0
+
+
+class _Killed(Exception):
+    """Stands in for a kill: raised from a progress callback."""
+
+
+class TestShardSlices:
+    def test_killed_shard_resumes_from_settled_slice(self, tmp_path):
+        """A shard wider than one slice checkpoints slice by slice."""
+        from repro.runners.protocol_trials import LOCKSTEP_SLICE
+        from repro.sweep.worker import checkpoint_path, execute_shard
+
+        width = LOCKSTEP_SLICE + 4
+        plan = default_plan(
+            trials=width, shard_size=width, side=3, faults=(None,)
+        )
+        clean = execute_shard(plan, 0, tmp_path / "clean")
+
+        def kill(_event):
+            raise _Killed
+
+        killed = tmp_path / "killed"
+        with pytest.raises(_Killed):
+            execute_shard(plan, 0, killed, progress=kill)
+        saved = json.loads(
+            checkpoint_path(killed, 0).read_text(encoding="utf-8")
+        )["completed"]
+        assert len(saved) == LOCKSTEP_SLICE
+
+        settled = []
+        assert execute_shard(plan, 0, killed, progress=settled.append) == clean
+        assert len(settled) == width - LOCKSTEP_SLICE
