@@ -25,9 +25,7 @@ assignment of priorities ... whether these priorities are changed from
 round to round, chosen randomly, or deterministically".
 
 Fault awareness (not part of the paper's model): ``faults`` plugs in a
-:class:`~repro.faults.models.FaultModel` adversary (the deprecated
-``fault_rate=`` is a bit-identical alias for
-:class:`~repro.faults.models.TransientLinkFaults`); a
+:class:`~repro.faults.models.FaultModel` adversary; a
 :class:`~repro.faults.health.LinkHealthMonitor` accumulates dead-link
 evidence across rounds; ``repair="reroute"`` recomputes stranded worms'
 paths around suspected-dead links; ``backoff_after=K`` escalates the
@@ -42,7 +40,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
-import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -62,7 +59,7 @@ from repro.core.records import (
 from repro.core.schedule import DelaySchedule, GeometricSchedule, ScheduleContext
 from repro.errors import ProtocolError
 from repro.faults.health import LinkHealthMonitor, StallDetector
-from repro.faults.models import FaultModel, TransientLinkFaults
+from repro.faults.models import FaultModel
 from repro.faults.repair import collection_links, reroute_path, surviving_graph
 from repro.observability.logconf import get_logger
 from repro.observability.metrics import MetricsRegistry, get_metrics
@@ -89,6 +86,11 @@ _REPAIR_MODES = ("none", "reroute")
 
 _log = get_logger("core.protocol")
 
+# Enum member lookups are slow; the per-round failure tally uses these.
+_ELIMINATED = FailureKind.ELIMINATED
+_TRUNCATED = FailureKind.TRUNCATED
+_FAULTED = FailureKind.FAULTED
+
 
 @dataclass(frozen=True)
 class ProtocolConfig:
@@ -101,10 +103,8 @@ class ProtocolConfig:
     trees (Section 2.1) are built from.
 
     Fault handling: ``faults`` names the
-    :class:`~repro.faults.models.FaultModel` adversary (None = fault-free);
-    ``fault_rate`` is the deprecated alias for
-    ``faults=TransientLinkFaults(rate)`` and produces bit-identical
-    results. ``repair`` is ``"none"`` or ``"reroute"`` (reroute stranded
+    :class:`~repro.faults.models.FaultModel` adversary (None = fault-free).
+    ``repair`` is ``"none"`` or ``"reroute"`` (reroute stranded
     worms around suspected-dead links); ``suspect_after`` is how many
     fault-bearing rounds convict a link; ``backoff_after`` escalates a
     bounded exponential backoff on ``Delta_t`` after that many
@@ -127,7 +127,6 @@ class ProtocolConfig:
     priority_mode: str = "random"
     track_congestion: bool = True
     collect_collisions: bool = False
-    fault_rate: float = 0.0
     faults: FaultModel | None = None
     repair: str = "none"
     suspect_after: int = 3
@@ -136,24 +135,6 @@ class ProtocolConfig:
     backoff_cooldown: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.fault_rate < 1.0:
-            raise ProtocolError(
-                f"fault_rate must be in [0, 1), got {self.fault_rate}"
-            )
-        if self.fault_rate > 0.0:
-            if self.faults is not None:
-                raise ProtocolError(
-                    "pass either faults= or the deprecated fault_rate=, not both"
-                )
-            warnings.warn(
-                "fault_rate= is deprecated; pass "
-                "faults=TransientLinkFaults(rate) instead (bit-identical)",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            object.__setattr__(
-                self, "faults", TransientLinkFaults(self.fault_rate)
-            )
         if self.faults is not None and not isinstance(self.faults, FaultModel):
             raise ProtocolError(
                 f"faults must be a FaultModel, got {type(self.faults).__name__}"
@@ -194,14 +175,27 @@ class ProtocolConfig:
             )
 
 
+def _schedule_context(coll: PathCollection, config: ProtocolConfig) -> ScheduleContext:
+    """The schedule's instance parameters for routing ``coll``."""
+    return ScheduleContext(
+        n=coll.n,
+        bandwidth=config.bandwidth,
+        worm_length=config.worm_length,
+        dilation=coll.dilation,
+        congestion=coll.path_congestion,
+    )
+
+
 class _TrialState:
     """Mutable per-execution loop state threaded through the round stepper.
 
     One instance per :meth:`TrialAndFailureProtocol.run` (or lockstep
-    batch) execution. The stepper methods -- ``_start_trial``,
-    ``_prepare_round``, ``_absorb_round``, ``_finish_trial`` -- read and
-    mutate it, so the serial loop and :func:`run_protocol_batch` share
-    one round implementation and stay bit-identical by construction.
+    batch, or streaming) execution. The stepper methods --
+    ``_start_trial``, ``_prepare_round``, ``_absorb_round``,
+    ``_finish_trial``, and ``_admit``/``_retire``/``_idle_round`` for an
+    open worm set -- read and mutate it, so the serial loop,
+    :func:`run_protocol_batch` and the streaming engine share one round
+    implementation and stay bit-identical by construction.
     """
 
     __slots__ = (
@@ -211,6 +205,7 @@ class _TrialState:
         "observe",
         "t_run",
         "active",
+        "acked",
         "delivered_round",
         "delivered_ever",
         "duplicates",
@@ -250,6 +245,9 @@ class TrialAndFailureProtocol:
     or a pre-built :class:`~repro.observability.flightrec.FlightRecorder`
     to emit one structured event per worm state change, replayable via
     :mod:`repro.observability.analysis`.
+
+    A protocol built by :meth:`_open` has no collection: its worm set
+    starts empty and grows and shrinks between rounds (streaming runs).
     """
 
     def __init__(
@@ -311,14 +309,41 @@ class TrialAndFailureProtocol:
             self._base_ctx = share._base_ctx
         else:
             self._build_engines(self.worms)
-            self._base_ctx = ScheduleContext(
-                n=collection.n,
-                bandwidth=config.bandwidth,
-                worm_length=config.worm_length,
-                dilation=collection.dilation,
-                congestion=collection.path_congestion,
-            )
+            self._base_ctx = _schedule_context(collection, config)
+        self._topology = collection.topology
         self._repaired = False
+
+    @classmethod
+    def _open(
+        cls,
+        topology,
+        config: ProtocolConfig,
+        *,
+        metrics: MetricsRegistry | None = None,
+        trace: "TraceWriter | None" = None,
+        trace_trial: int = 0,
+    ) -> "TrialAndFailureProtocol":
+        """A protocol over ``topology`` whose worm set starts empty.
+
+        Worms join with :meth:`_admit` and leave with :meth:`_retire`
+        between rounds, so uids are not indices into a collection. Fault
+        models cover every directed link of ``topology``, and repairs may
+        route over all of them.
+        """
+        self = cls.__new__(cls)
+        self.collection = None
+        self.config = config
+        self._metrics = metrics
+        self._trace = trace
+        self._trace_trial = trace_trial
+        self._flight = None
+        self._topology = topology
+        self.worms = []
+        self.engine = None
+        self._ack_engine = None
+        self._base_ctx = None
+        self._repaired = False
+        return self
 
     def _build_engines(self, worms: list[Worm]) -> None:
         """(Re)build the forward and ack engines for ``worms``.
@@ -376,26 +401,28 @@ class TrialAndFailureProtocol:
     def _route_acks(
         self, delivered: list[int], fwd_outcomes, rng: np.random.Generator
     ) -> tuple[set[int], int]:
-        """Simulated acks: returns (acked uids, ack makespan)."""
+        """Simulated acks: returns (acked uids, ack makespan).
+
+        Each ack worm carries its forward worm's uid on the dedicated
+        ack engine.
+        """
         assert self._ack_engine is not None
         if not delivered:
             return set(), 0
-        offset = len(self.worms)
         launches = []
         ranks = rng.permutation(len(delivered))
         for i, uid in enumerate(delivered):
             completion = fwd_outcomes[uid].completion_time
             launches.append(
                 Launch(
-                    worm=uid + offset,
+                    worm=uid,
                     delay=completion + 1,
                     wavelength=int(rng.integers(0, self.config.bandwidth)),
                     priority=int(ranks[i]),
                 )
             )
         result = self._ack_engine.run_round(launches, collect_collisions=False)
-        acked = {uid - offset for uid in result.delivered}
-        return acked, (result.makespan or 0)
+        return set(result.delivered), (result.makespan or 0)
 
     # -- fault-awareness helpers ---------------------------------------------
 
@@ -412,12 +439,12 @@ class TrialAndFailureProtocol:
         """Reroute active worms stranded on suspected-dead links.
 
         Replacement paths are shortest paths on the surviving directed
-        graph (the topology's links when the collection has a topology,
-        else the union of the collection's own links) minus the
-        suspected set. Returns True when any path changed -- the engines
-        are rebuilt and the live collection must be refreshed. Worms
-        whose destination became unreachable stay stranded and are
-        diagnosed at exhaustion.
+        graph (the topology's links when there is a topology, else the
+        union of the collection's own links) minus the suspected set.
+        Returns True when any path changed -- the engines are rebuilt
+        and the schedule must be re-anchored. Worms whose destination
+        became unreachable stay stranded and are diagnosed at
+        exhaustion.
         """
         stranded = [
             uid for uid in active if monitor.is_suspected_path(live_paths[uid])
@@ -425,7 +452,10 @@ class TrialAndFailureProtocol:
         if not stranded:
             return False
         adj = surviving_graph(
-            collection_links(self.collection.paths, self.collection.topology),
+            collection_links(
+                self.collection.paths if self.collection is not None else (),
+                self._topology,
+            ),
             monitor.suspected,
         )
         changed = 0
@@ -507,13 +537,18 @@ class TrialAndFailureProtocol:
         st.metrics = self._metrics if self._metrics is not None else get_metrics()
         st.observe = st.metrics.enabled
         st.t_run = time.perf_counter() if st.observe else 0.0
-        if self._repaired:
+        if self.collection is None:
+            # An open worm set starts every execution empty.
+            self.worms = []
+            self.engine = self._ack_engine = None
+        elif self._repaired:
             # A previous run on this instance rerouted worms; reset to the
             # pristine collection so reruns stay seed-deterministic.
             self.worms = make_worms(self.collection.paths, cfg.worm_length)
             self._build_engines(self.worms)
             self._repaired = False
         st.active = [w.uid for w in self.worms]
+        st.acked = set()
         st.delivered_round = {}
         st.delivered_ever = set()
         st.duplicates = 0
@@ -526,11 +561,18 @@ class TrialAndFailureProtocol:
         st.live_coll = self.collection
         st.live_paths = {w.uid: w.path for w in self.worms}
         st.base_ctx = self._base_ctx
-        st.dl = st.live_coll.dilation + cfg.worm_length
+        st.dl = (
+            st.live_coll.dilation + cfg.worm_length
+            if st.live_coll is not None
+            else 0
+        )
+        links = (
+            self.collection.links
+            if self.collection is not None
+            else self._topology.directed_links
+        )
         st.fault_run = (
-            cfg.faults.start(self.collection.links, st.rng)
-            if cfg.faults is not None
-            else None
+            cfg.faults.start(links, st.rng) if cfg.faults is not None else None
         )
         st.monitor = LinkHealthMonitor(cfg.suspect_after)
         st.stall = StallDetector(
@@ -548,10 +590,101 @@ class TrialAndFailureProtocol:
         lockstep driver instead computes the same values for many trials
         at once through the collection's share-matrix oracle, falling
         back to this per-trial path after a repair changed the paths.
+        While every worm of the live collection is still active, that
+        collection's own (cached) measure is the answer: worms only leave
+        it between re-anchors. An open worm set's uids are not collection
+        indices, so otherwise it measures a collection of the active
+        paths, without re-validating them (:meth:`_admit` did).
         """
         if not self.config.track_congestion:
             return None
+        if len(st.active) == st.live_coll.n:
+            return st.live_coll.path_congestion
+        if self.collection is None:
+            return PathCollection(
+                [st.live_paths[uid] for uid in st.active], require_simple=False
+            ).path_congestion
         return st.live_coll.subset(st.active).path_congestion
+
+    def _reanchor(self, st: _TrialState) -> None:
+        """Anchor the schedule on the current worm set's measures.
+
+        Called after a repair changed paths and after an admission
+        changed membership: the original collection's invariants no
+        longer describe the routed worms. Every path is already known to
+        walk real links (repairs route on the surviving topology, and
+        :meth:`_admit` validates), so none is re-validated here.
+        """
+        st.live_coll = PathCollection(st.live_paths.values(), require_simple=False)
+        st.dl = st.live_coll.dilation + self.config.worm_length
+        st.base_ctx = _schedule_context(st.live_coll, self.config)
+
+    def _admit(self, st: _TrialState, worms: list[Worm]) -> None:
+        """Add ``worms`` to an open worm set between rounds.
+
+        Their paths are validated against the topology. They join the
+        forward engine (and the ack engine, if there is one) and the
+        active set, and the schedule is re-anchored on the enlarged set.
+        """
+        self._topology.validate_paths(w.path for w in worms)
+        if self.engine is None:
+            self.worms = list(worms)
+            self._build_engines(self.worms)
+        else:
+            self.worms.extend(worms)
+            self.engine.add_worms(worms)
+            if self._ack_engine is not None:
+                self._ack_engine.add_worms(
+                    ack_worms(worms, ack_length=self.config.ack_length)
+                )
+        for w in worms:
+            st.live_paths[w.uid] = w.path
+            st.active.append(w.uid)
+        self._reanchor(st)
+
+    def _retire(self, st: _TrialState, uids: list[int]) -> None:
+        """Drop acked or expired ``uids`` from an open worm set.
+
+        Releases their engine state and every per-worm entry the stepper
+        holds, so memory tracks the active population.
+        """
+        gone = set(uids)
+        self.engine.retire_worms(uids)
+        if self._ack_engine is not None:
+            self._ack_engine.retire_worms(uids)
+        self.worms = [w for w in self.worms if w.uid not in gone]
+        st.active = [uid for uid in st.active if uid not in gone]
+        for uid in uids:
+            del st.live_paths[uid]
+            st.delivered_ever.discard(uid)
+
+    def _idle_round(self, st: _TrialState) -> None:
+        """Account a round in which no worm is active.
+
+        Nothing launches, so no round generator is spawned and no fault
+        draw happens (fault models evolve lazily, so skipping rounds is
+        safe). The round still takes ``1 + 2(D + L)`` steps.
+        """
+        st.t += 1
+        st.rounds_used = st.t
+        st.delta = 1
+        st.acked = set()
+        duration = st.delta + 2 * st.dl
+        st.total_time += duration
+        st.observed_time += 1
+        st.records.append(
+            RoundRecord(
+                index=st.t,
+                delay_range=st.delta,
+                active_before=0,
+                delivered=0,
+                eliminated=0,
+                truncated=0,
+                acked=0,
+                duration=duration,
+                observed_span=1,
+            )
+        )
 
     def _prepare_round(
         self, st: _TrialState, current_congestion: int | None
@@ -596,8 +729,9 @@ class TrialAndFailureProtocol:
 
         Acks (simulated acks route on this trial's own ack engine),
         bookkeeping, metrics, trace records, health monitoring, and
-        repair all happen here. Returns True when the trial completed
-        (every worm acknowledged).
+        repair all happen here. The round's acknowledged uids are left
+        in ``st.acked``. Returns True when the trial completed (every
+        worm acknowledged).
         """
         cfg = self.config
         metrics = st.metrics
@@ -607,7 +741,7 @@ class TrialAndFailureProtocol:
             st.collisions_per_round.append(result.collisions)
 
         delivered = result.delivered
-        st.duplicates += sum(1 for uid in delivered if uid in st.delivered_ever)
+        st.duplicates += len(st.delivered_ever.intersection(delivered))
         st.delivered_ever.update(delivered)
 
         if cfg.ack_mode == "ideal":
@@ -636,25 +770,22 @@ class TrialAndFailureProtocol:
                 result.makespan, ack_span=ack_span, acked=sorted(acked)
             )
 
+        st.acked = acked
         for uid in acked:
             st.delivered_round.setdefault(uid, t)
         st.active = [uid for uid in st.active if uid not in acked]
 
-        eliminated = sum(
-            1
-            for o in result.outcomes.values()
-            if o.failure is FailureKind.ELIMINATED
-        )
-        truncated = sum(
-            1
-            for o in result.outcomes.values()
-            if o.failure is FailureKind.TRUNCATED
-        )
-        faulted = sum(
-            1
-            for o in result.outcomes.values()
-            if o.failure is FailureKind.FAULTED
-        )
+        eliminated = truncated = faulted = 0
+        for o in result.outcomes.values():
+            kind = o.failure
+            if kind is None:
+                continue
+            if kind is _ELIMINATED:
+                eliminated += 1
+            elif kind is _TRUNCATED:
+                truncated += 1
+            elif kind is _FAULTED:
+                faulted += 1
         duration = st.delta + 2 * st.dl
         observed = max(result.makespan or 0, ack_span) + 1
         st.total_time += duration
@@ -709,19 +840,7 @@ class TrialAndFailureProtocol:
                 metrics, observe,
             )
         ):
-            st.live_coll = PathCollection(
-                [st.live_paths[w.uid] for w in self.worms],
-                topology=self.collection.topology,
-                require_simple=False,
-            )
-            st.dl = st.live_coll.dilation + cfg.worm_length
-            # Repaired paths void the original invariants; re-anchor
-            # the schedule on the repaired collection's measures.
-            st.base_ctx = dataclasses.replace(
-                st.base_ctx,
-                dilation=st.live_coll.dilation,
-                congestion=st.live_coll.path_congestion,
-            )
+            self._reanchor(st)
         return False
 
     def _finish_trial(self, st: _TrialState) -> ProtocolResult:
@@ -789,6 +908,19 @@ class TrialAndFailureProtocol:
             repairs=tuple(st.repairs),
         )
 
+    def _step(self, st: _TrialState) -> bool:
+        """One round on this instance's own engine; True once completed."""
+        launches, dead_links = self._prepare_round(
+            st, self._measure_congestion(st)
+        )
+        result = self.engine.run_round(
+            launches,
+            collect_collisions=self.config.collect_collisions,
+            dead_links=dead_links,
+            recorder=self._flight,
+        )
+        return self._absorb_round(st, result)
+
     def run(self, rng=None) -> ProtocolResult:
         """Execute rounds until every worm is acknowledged (or max_rounds)."""
         cfg = self.config
@@ -796,16 +928,7 @@ class TrialAndFailureProtocol:
         st = self._start_trial(rng)
         while st.t < cfg.max_rounds:
             with prof.span("protocol.round"):
-                launches, dead_links = self._prepare_round(
-                    st, self._measure_congestion(st)
-                )
-                result = self.engine.run_round(
-                    launches,
-                    collect_collisions=cfg.collect_collisions,
-                    dead_links=dead_links,
-                    recorder=self._flight,
-                )
-                if self._absorb_round(st, result):
+                if self._step(st):
                     break
         return self._finish_trial(st)
 

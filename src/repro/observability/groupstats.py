@@ -40,7 +40,7 @@ import hashlib
 import math
 from bisect import insort
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from repro.errors import ObservabilityError
 from repro.observability.metrics import _label_key, parse_label_key
@@ -50,12 +50,22 @@ __all__ = [
     "Reservoir",
     "GroupedStats",
     "group_key",
+    "order_statistic",
     "parse_group_key",
 ]
 
 #: Sample entries retained per (group, field); quantiles over more
 #: observations than this are reservoir estimates, below it exact.
 DEFAULT_RESERVOIR_CAP = 256
+
+
+def order_statistic(data: Sequence[float], q: float) -> float:
+    """The exact ``q``-quantile of sorted ``data``: its ``ceil(q*n)``-th value.
+
+    An order statistic, never an interpolation; ``q=0`` gives the
+    minimum. ``data`` must be sorted and non-empty.
+    """
+    return data[min(len(data) - 1, max(0, math.ceil(q * len(data)) - 1))]
 
 
 def group_key(labels: Mapping[str, object]) -> str:
@@ -211,9 +221,7 @@ class Reservoir:
             raise ObservabilityError(f"quantile q must be in [0, 1], got {q}")
         if not self._sample:
             return None
-        data = sorted(v for _, v in self._sample)
-        idx = min(len(data) - 1, max(0, math.ceil(q * len(data)) - 1))
-        return data[idx]
+        return order_statistic(sorted(v for _, v in self._sample), q)
 
     @property
     def sample_size(self) -> int:

@@ -56,14 +56,12 @@ def fault_label(config: protocol.ProtocolConfig) -> str:
     The run ledger groups history by (workload, backend, fault-model,
     scenario), where ``backend`` only labels rows recorded before the
     engine had one round kernel. This is the fault-model coordinate:
-    ``"none"`` for a fault-free config, otherwise the fault spec / rate
-    / repair policy.
+    ``"none"`` for a fault-free config, otherwise the fault spec and
+    repair policy.
     """
     parts = []
     if config.faults is not None:
         parts.append(stable_repr(config.faults))
-    if config.fault_rate:
-        parts.append(f"rate={config.fault_rate}")
     if config.repair != "none":
         parts.append(f"repair={config.repair}")
     return ",".join(parts) or "none"

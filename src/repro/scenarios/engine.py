@@ -1,24 +1,32 @@
 """Streaming traffic engine: the trial-and-failure protocol as an open system.
 
 The paper's protocol routes a *fixed* batch of worms until the last ack
-arrives. This module runs the same round machinery as an open system:
-worm requests arrive continuously from a seed-deterministic
+arrives. This module runs the same protocol as an open system: worm
+requests arrive continuously from a seed-deterministic
 :class:`~repro.scenarios.arrivals.ArrivalProcess`, are admitted between
-rounds (bounded by ``max_active``), routed by the shared
-:class:`~repro.core.engine.RoutingEngine`, and retired on ack or on
-``patience`` expiry. Steady-state behaviour -- throughput, admission
-latency, drop rate -- replaces makespan as the headline observable.
+rounds (bounded by ``max_active``), and retire on ack or on ``patience``
+expiry. Steady-state behaviour -- throughput, admission latency, drop
+rate -- replaces makespan as the headline observable.
 
-Determinism contract: the engine draws all routing randomness from the
-caller's generator in *exactly* the static protocol's per-round order
-(congestion, schedule, ``spawn_generator`` for the round, delays,
-wavelengths, priorities, fault draws, ack-loss draws), and all arrival
-randomness from one private generator spawned once up front. Two
-consequences, both pinned by tests:
+Architecture: :class:`StreamingEngine` drives the round
+stepper of :class:`~repro.core.protocol.TrialAndFailureProtocol`. The
+stepper does everything a round does: congestion measurement, the
+``Delta_t`` schedule and stall backoff, launch and fault draws, the
+engine round, acks (ideal or simulated) and ack loss, health monitoring
+and reroute repair. Between its rounds the engine only handles
+arrivals, admission control, patience expiry, retirement, windows and
+latency accounting; it admits and retires worms through the stepper, so
+engine and per-worm state track the active population.
 
-* with ``arrivals=None`` (drain mode) the engine replays the exact draw
-  sequence of :class:`~repro.core.protocol.TrialAndFailureProtocol` and
-  produces bit-identical per-round records;
+Determinism contract: routing randomness comes from the caller's
+generator in the stepper's per-round order, and all arrival randomness
+from one private generator spawned once, after the stepper started its
+fault run. Two consequences, both pinned by tests:
+
+* with ``arrivals=None`` (drain mode) the engine runs the static
+  protocol's own stepper over the backlog, so its per-round records
+  equal :class:`~repro.core.protocol.TrialAndFailureProtocol`'s by
+  construction;
 * a fixed (scenario, seed) pair yields an identical
   :meth:`StreamingResult.snapshot` on every run.
 """
@@ -26,29 +34,27 @@ consequences, both pinned by tests:
 from __future__ import annotations
 
 import dataclasses
-import math
-import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Hashable, Sequence
 
-import numpy as np
-
 from repro._util import as_generator, spawn_generator
-from repro.core.engine import RoutingEngine
-from repro.core.protocol import ProtocolConfig
-from repro.core.schedule import ScheduleContext
+from repro.core.protocol import ProtocolConfig, TrialAndFailureProtocol
 from repro.errors import ScenarioError
-from repro.faults.health import StallDetector
 from repro.network.topology import Topology
+from repro.observability.groupstats import (
+    DEFAULT_RESERVOIR_CAP,
+    Reservoir,
+    order_statistic,
+)
 from repro.observability.metrics import MetricsRegistry, get_metrics
 from repro.observability.spans import get_profiler
-from repro.optics.coupler import CollisionRule
 from repro.paths.collection import PathCollection
 from repro.scenarios.arrivals import ArrivalProcess
 from repro.scenarios.traffic import TrafficPattern
-from repro.worms.worm import Launch, Worm, make_worms
+from repro.worms.worm import Worm
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.records import RepairEvent
     from repro.observability.trace import TraceWriter
 
 __all__ = [
@@ -97,12 +103,14 @@ class StreamingNetwork:
 class StreamingConfig:
     """Configuration of one streaming run.
 
-    ``protocol`` supplies the round machinery (bandwidth, schedule,
-    collision rule, faults, backoff); streaming requires the paper's
-    analytical ack model (``ack_mode="ideal"``) and no reroute repair.
+    ``protocol`` configures the protocol's round stepper, which runs
+    every round: bandwidth, schedule, collision rule, faults, backoff,
+    ``ack_mode`` (simulated acks route on an ack engine that grows and
+    shrinks with the worm set), ``repair="reroute"`` and
+    ``collect_collisions`` all work as in a static run.
     ``arrivals``/``traffic`` define the offered load; ``arrivals=None``
-    selects *drain mode*: route a fixed initial backlog to completion,
-    bit-identical to the static protocol. ``rounds`` bounds a streaming
+    selects *drain mode*: route a fixed initial backlog to completion
+    on the static protocol's own stepper. ``rounds`` bounds a streaming
     run (drain mode uses ``protocol.max_rounds``); ``max_active`` is the
     admission-control window (excess offered requests are *rejected*);
     ``patience`` expires worms still undelivered after that many rounds
@@ -132,21 +140,6 @@ class StreamingConfig:
             raise ScenarioError(
                 f"protocol must be a ProtocolConfig, "
                 f"got {type(self.protocol).__name__}"
-            )
-        if self.protocol.ack_mode != "ideal":
-            raise ScenarioError(
-                "streaming scenarios require ack_mode='ideal' "
-                f"(got {self.protocol.ack_mode!r})"
-            )
-        if self.protocol.repair != "none":
-            raise ScenarioError(
-                "streaming scenarios do not support reroute repair "
-                f"(got repair={self.protocol.repair!r})"
-            )
-        if self.protocol.collect_collisions:
-            raise ScenarioError(
-                "streaming scenarios never retain collision logs; "
-                "set collect_collisions=False"
             )
         if self.arrivals is not None and not isinstance(
             self.arrivals, ArrivalProcess
@@ -217,9 +210,8 @@ class StreamingRoundRecord:
     """Per-round streaming observables.
 
     ``offered``/``admitted``/``rejected``/``expired`` count this round's
-    arrival-side events; the remaining fields mirror the static
-    protocol's :class:`~repro.core.records.RoundRecord` (and match it
-    bit-for-bit in drain mode).
+    arrival-side events; the remaining fields are copied from the
+    stepper's :class:`~repro.core.records.RoundRecord` of the round.
     """
 
     index: int
@@ -241,7 +233,10 @@ class StreamingResult:
     ``completed`` means the system ended drained (no active worms).
     ``latencies`` holds one admission-to-ack latency per acked worm, in
     ack order (ties broken by uid); quantiles are exact order
-    statistics, not interpolations.
+    statistics, not interpolations. ``collisions_per_round`` (with
+    ``collect_collisions``) and ``repairs`` (with ``repair="reroute"``)
+    are the stepper's, as in
+    :class:`~repro.core.records.ProtocolResult`.
     """
 
     completed: bool
@@ -256,6 +251,8 @@ class StreamingResult:
     delivered_round: dict[int, int] = field(default_factory=dict)
     admitted_round: dict[int, int] = field(default_factory=dict)
     latencies: tuple[int, ...] = ()
+    collisions_per_round: tuple = ()
+    repairs: "tuple[RepairEvent, ...]" = ()
 
     @property
     def drop_rate(self) -> float:
@@ -277,9 +274,7 @@ class StreamingResult:
             raise ScenarioError(f"quantile must be in [0, 1], got {q}")
         if not self.latencies:
             return None
-        data = sorted(self.latencies)
-        idx = min(len(data) - 1, max(0, math.ceil(q * len(data)) - 1))
-        return float(data[idx])
+        return float(order_statistic(sorted(self.latencies), q))
 
     def snapshot(self) -> dict:
         """Deterministic JSON-ready summary of the run."""
@@ -300,72 +295,32 @@ class StreamingResult:
         }
 
 
-def _draw_launches(
-    active: list[int], delta: int, proto: ProtocolConfig, rng: np.random.Generator
-) -> list[Launch]:
-    """Per-round launch draws, replicating the static protocol exactly."""
-    k = len(active)
-    delays = rng.integers(0, delta, size=k)
-    wavelengths = rng.integers(0, proto.bandwidth, size=k)
-    if proto.rule is CollisionRule.PRIORITY:
-        mode = proto.priority_mode
-        if mode == "random":
-            priorities = rng.permutation(k)
-        elif mode == "uid":
-            priorities = np.array(active)
-        else:  # reverse_uid
-            priorities = -np.array(active)
-    else:
-        priorities = np.zeros(k, dtype=np.int64)
-    return [
-        Launch(
-            worm=uid,
-            delay=int(delays[i]),
-            wavelength=int(wavelengths[i]),
-            priority=int(priorities[i]),
-        )
-        for i, uid in enumerate(active)
-    ]
-
-
-#: Latency samples retained per window; windows holding more acks than
-#: this report reservoir-sampled (still deterministic) quantiles.
-WINDOW_RESERVOIR_CAP = 256
-
-
 class _WindowTracker:
     """Bounded-memory accumulator behind ``snapshot_every`` (internal).
 
-    Sums per-round deltas and reservoir-samples ack latencies until
-    ``every`` rounds have elapsed, then :meth:`flush` produces one
-    JSON-ready window dict and resets. The reservoir draws from a
-    *private* seeded ``random.Random`` -- never from the run's routing
-    generator -- so windowed and unwindowed runs are bit-identical.
+    Sums per-round deltas and samples ack latencies into a
+    :class:`~repro.observability.groupstats.Reservoir` keyed by worm uid
+    until ``every`` rounds have elapsed, then :meth:`flush` produces one
+    JSON-ready window dict and resets. The reservoir samples by a keyed
+    hash, never by the run's generator, so windowed and unwindowed runs
+    are bit-identical; its quantiles are exact while a window holds at
+    most ``DEFAULT_RESERVOIR_CAP`` acks.
     """
 
-    def __init__(self, every: int, cap: int = WINDOW_RESERVOIR_CAP) -> None:
+    def __init__(self, every: int) -> None:
         self.every = every
-        self.cap = cap
         self.index = 0
         self.start = 1
-        self._rng = random.Random(0x5EED)
         self._reset()
 
     def _reset(self) -> None:
         self.offered = self.admitted = self.rejected = self.expired = 0
         self.acked = self.delivered = self.duration = self.rounds = 0
-        self.seen = 0
-        self.sample: list[int] = []
+        self.latency = Reservoir(DEFAULT_RESERVOIR_CAP)
 
-    def observe_latency(self, latency: int) -> None:
-        """Reservoir-sample one admission-to-ack latency (algorithm R)."""
-        self.seen += 1
-        if len(self.sample) < self.cap:
-            self.sample.append(latency)
-        else:
-            j = self._rng.randrange(self.seen)
-            if j < self.cap:
-                self.sample[j] = latency
+    def observe_latency(self, latency: int, uid: int) -> None:
+        """Sample worm ``uid``'s admission-to-ack latency."""
+        self.latency.observe(latency, uid)
 
     def observe_round(self, record: StreamingRoundRecord) -> None:
         """Fold one round's deltas into the open window."""
@@ -385,14 +340,6 @@ class _WindowTracker:
 
     def flush(self, end_round: int, active: int) -> dict:
         """Close the window ending at ``end_round`` and reset for the next."""
-        data = sorted(self.sample)
-
-        def q(p: float) -> float | None:
-            if not data:
-                return None
-            idx = min(len(data) - 1, max(0, math.ceil(p * len(data)) - 1))
-            return float(data[idx])
-
         window = {
             "window": self.index,
             "start_round": self.start,
@@ -412,10 +359,10 @@ class _WindowTracker:
                 if self.offered
                 else 0.0
             ),
-            "latency_p50": q(0.50),
-            "latency_p95": q(0.95),
-            "latency_p99": q(0.99),
-            "latency_samples": self.seen,
+            "latency_p50": self.latency.quantile(0.50),
+            "latency_p95": self.latency.quantile(0.95),
+            "latency_p99": self.latency.quantile(0.99),
+            "latency_samples": self.latency.count,
         }
         self.index += 1
         self.start = end_round + 1
@@ -424,13 +371,15 @@ class _WindowTracker:
 
 
 class StreamingEngine:
-    """Runs the trial-and-failure rounds with continuous worm admission.
+    """Drives the protocol's round stepper with continuous worm admission.
 
     Streaming mode (``config.arrivals`` set) needs a ``network``; drain
     mode needs a ``collection`` holding the initial backlog. ``metrics``
     and ``trace`` follow the protocol's conventions: per-round
     ``scenario_round`` trace records plus one ``scenario`` summary,
-    and ``scenario_*`` counters/gauges/histograms in the registry. With
+    and ``scenario_*`` counters/gauges/histograms in the registry, next
+    to the stepper's own ``round``/``repair`` records and ``protocol_*``
+    series. With
     ``config.snapshot_every`` set, each closed window additionally
     yields one ``scenario_window`` trace record, refreshes the
     ``scenario_window_*`` gauges, and is handed to the ``on_window``
@@ -467,25 +416,6 @@ class StreamingEngine:
         self._trace_trial = trace_trial
         self._on_window = on_window
 
-    # -- helpers -------------------------------------------------------------
-
-    def _active_collection(self, live_paths: dict[int, tuple], active: list[int]):
-        """Collection over the currently active paths (streaming mode)."""
-        assert self.network is not None
-        return PathCollection(
-            [live_paths[uid] for uid in active],
-            topology=self.network.topology,
-            require_simple=False,
-        )
-
-    def _build_engine(self, worms: list[Worm]) -> RoutingEngine:
-        proto = self.config.protocol
-        return RoutingEngine(
-            worms,
-            proto.rule,
-            proto.tie_rule,
-            metrics=self._metrics,
-        )
 
     def _emit_window(self, window: dict, metrics, observe: bool) -> None:
         """Ship one closed window to the trace, gauges and callback."""
@@ -509,7 +439,6 @@ class StreamingEngine:
     def run(self, rng=None) -> StreamingResult:
         """Execute the run; each call restarts from a fresh system state."""
         cfg = self.config
-        proto = cfg.protocol
         rng = as_generator(rng)
         metrics = self._metrics if self._metrics is not None else get_metrics()
         observe = metrics.enabled
@@ -520,81 +449,52 @@ class StreamingEngine:
             if cfg.snapshot_every is not None
             else None
         )
+        observers = dict(
+            metrics=self._metrics, trace=self._trace, trace_trial=self._trace_trial
+        )
+        if streaming:
+            proto = TrialAndFailureProtocol._open(
+                self.network.topology, cfg.protocol, **observers
+            )
+        else:
+            proto = TrialAndFailureProtocol(
+                self.collection, cfg.protocol, **observers
+            )
+        # The stepper starts its fault run first (stateful models consume
+        # one spawn there), exactly as the static protocol does; only then
+        # is the private arrivals stream spawned, so drain mode never
+        # perturbs the sequence.
+        st = proto._start_trial(rng)
 
-        engine: RoutingEngine | None = None
-        active: list[int] = []
-        live_paths: dict[int, tuple] = {}
-        delivered_round: dict[int, int] = {}
-        admitted_round: dict[int, int] = {}
+        # Drain mode's backlog counts as round-1 admissions.
+        admitted_round: dict[int, int] = {uid: 1 for uid in st.active}
+        offered = admitted = next_uid = len(st.active)
+        rejected = expired = 0
         latencies: list[int] = []
         records: list[StreamingRoundRecord] = []
-        offered = admitted = rejected = expired = acked_total = 0
-        total_time = 0
-        base_ctx: ScheduleContext | None = None
-        dl = 0
-        next_uid = 0
-
-        # Fault state first (stateful models consume one spawn there),
-        # exactly as the static protocol does; only then the private
-        # arrivals stream, so drain mode never perturbs the sequence.
-        links = (
-            self.network.topology.directed_links
-            if streaming
-            else self.collection.links
-        )
-        fault_run = (
-            proto.faults.start(links, rng) if proto.faults is not None else None
-        )
-        stall = StallDetector(
-            proto.backoff_after, proto.backoff_cap, cooldown=proto.backoff_cooldown
-        )
-
         if streaming:
             arr_rng = spawn_generator(rng)
             arr_stream = cfg.arrivals.start()
             traffic_stream = cfg.traffic.start(self.network.nodes)
             horizon = cfg.rounds
         else:
-            arr_rng = arr_stream = traffic_stream = None
-            worms = make_worms(self.collection.paths, proto.worm_length)
-            engine = self._build_engine(worms)
-            active = [w.uid for w in worms]
-            live_paths = {w.uid: w.path for w in worms}
-            admitted_round = {uid: 1 for uid in active}
-            offered = admitted = len(active)
-            next_uid = len(active)
-            base_ctx = ScheduleContext(
-                n=self.collection.n,
-                bandwidth=proto.bandwidth,
-                worm_length=proto.worm_length,
-                dilation=self.collection.dilation,
-                congestion=self.collection.path_congestion,
-            )
-            dl = self.collection.dilation + proto.worm_length
-            horizon = proto.max_rounds
+            horizon = cfg.protocol.max_rounds
 
-        completed = False
-        rounds_used = 0
         for t in range(1, horizon + 1):
-            rounds_used = t
             round_offered = round_admitted = round_rejected = round_expired = 0
 
             if streaming:
                 with prof.span("scenario.admission"):
                     # Admission phase, "between rounds": expire the
                     # impatient, then draw and admit this round's arrivals.
-                    if cfg.patience is not None and active:
+                    if cfg.patience is not None and st.active:
                         stale = [
                             uid
-                            for uid in active
+                            for uid in st.active
                             if t - admitted_round[uid] >= cfg.patience
                         ]
                         if stale:
-                            engine.retire_worms(stale)
-                            stale_set = set(stale)
-                            active = [u for u in active if u not in stale_set]
-                            for uid in stale:
-                                del live_paths[uid]
+                            proto._retire(st, stale)
                             round_expired = len(stale)
                             expired += round_expired
                             if observe:
@@ -608,7 +508,7 @@ class StreamingEngine:
                     offered += k
                     if observe and k:
                         metrics.inc("scenario_offered_total", k)
-                    admit = min(k, max(0, cfg.max_active - len(active)))
+                    admit = min(k, max(0, cfg.max_active - len(st.active)))
                     round_rejected = k - admit
                     rejected += round_rejected
                     if round_rejected and observe:
@@ -622,183 +522,95 @@ class StreamingEngine:
                         for src, dst in traffic_stream.pairs(admit, arr_rng):
                             path = tuple(self.network.path_fn(src, dst))
                             new_worms.append(
-                                Worm(uid=next_uid, path=path, length=proto.worm_length)
+                                Worm(
+                                    uid=next_uid,
+                                    path=path,
+                                    length=cfg.protocol.worm_length,
+                                )
                             )
-                            live_paths[next_uid] = path
                             admitted_round[next_uid] = t
-                            active.append(next_uid)
                             next_uid += 1
-                        if engine is None:
-                            engine = self._build_engine(new_worms)
-                        else:
-                            engine.add_worms(new_worms)
+                        proto._admit(st, new_worms)
                         round_admitted = admit
                         admitted += admit
                         if observe:
                             metrics.inc("scenario_admitted_total", admit)
-                        # Re-anchor the schedule envelope on the enlarged
-                        # system (congestion/dilation can only be refreshed
-                        # when membership changes).
-                        coll = self._active_collection(live_paths, active)
-                        base_ctx = ScheduleContext(
-                            n=coll.n,
-                            bandwidth=proto.bandwidth,
-                            worm_length=proto.worm_length,
-                            dilation=coll.dilation,
-                            congestion=coll.path_congestion,
-                        )
-                        dl = coll.dilation + proto.worm_length
 
-            if not active:
-                # Idle round: nothing to launch, so no generator is
-                # spawned and no fault draw happens (the fault models
-                # evolve lazily, so skipping rounds is safe).
-                delta = 1
-                duration = delta + 2 * dl if base_ctx is not None else delta
-                total_time += duration
-                record = StreamingRoundRecord(
-                    index=t,
-                    delay_range=delta,
-                    offered=round_offered,
-                    admitted=round_admitted,
-                    rejected=round_rejected,
-                    expired=round_expired,
-                    active_before=0,
-                    delivered=0,
-                    acked=0,
-                    duration=duration,
-                )
-                records.append(record)
-                if observe:
-                    metrics.gauge("scenario_active_worms", 0)
-                if self._trace is not None:
-                    self._trace.write(
-                        "scenario_round",
-                        trial=self._trace_trial,
-                        **dataclasses.asdict(record),
-                    )
-                if tracker is not None:
-                    tracker.observe_round(record)
-                    if tracker.due:
-                        self._emit_window(
-                            tracker.flush(t, 0), metrics, observe
-                        )
-                continue
-
-            with prof.span("scenario.round"):
-                # Routing phase: a verbatim mirror of the static protocol's
-                # round (same draw order, same arithmetic).
-                current_congestion = None
-                if proto.track_congestion:
-                    if streaming:
-                        current_congestion = self._active_collection(
-                            live_paths, active
-                        ).path_congestion
-                    else:
-                        current_congestion = self.collection.subset(
-                            active
-                        ).path_congestion
-                ctx = dataclasses.replace(
-                    base_ctx, current_congestion=current_congestion
-                )
-                delta = proto.schedule.delay_range(t, ctx)
-                if stall.multiplier > 1.0:
-                    delta = max(1, int(math.ceil(delta * stall.multiplier)))
-
-                round_rng = spawn_generator(rng)
-                launches = _draw_launches(active, delta, proto, round_rng)
-                dead_links = (
-                    fault_run.dead_links(t, round_rng)
-                    if fault_run is not None
-                    else None
-                )
-                result = engine.run_round(launches, collect_collisions=False,
-                                          dead_links=dead_links)
-                delivered = result.delivered
-                acked = set(delivered)
-                if fault_run is not None and acked:
-                    lost = fault_run.lost_acks(t, sorted(acked), round_rng)
-                    if lost:
-                        acked -= lost
-                for uid in acked:
-                    delivered_round.setdefault(uid, t)
-                active = [uid for uid in active if uid not in acked]
-                if acked:
-                    acked_total += len(acked)
-                    for uid in sorted(acked):
+            if not st.active:
+                proto._idle_round(st)
+            else:
+                with prof.span("scenario.round"):
+                    proto._step(st)
+                    acked = sorted(st.acked)
+                    for uid in acked:
                         latency = t - admitted_round[uid] + 1
                         latencies.append(latency)
                         if tracker is not None:
-                            tracker.observe_latency(latency)
+                            tracker.observe_latency(latency, uid)
                         if observe:
                             metrics.observe(
                                 "scenario_admission_latency_rounds", latency
                             )
-                    if streaming:
+                    if streaming and acked:
                         with prof.span("scenario.retire"):
-                            engine.retire_worms(sorted(acked))
-                            for uid in acked:
-                                del live_paths[uid]
+                            proto._retire(st, acked)
 
-                duration = delta + 2 * dl
-                total_time += duration
-                record = StreamingRoundRecord(
-                    index=t,
-                    delay_range=delta,
-                    offered=round_offered,
-                    admitted=round_admitted,
-                    rejected=round_rejected,
-                    expired=round_expired,
-                    active_before=len(result.outcomes),
-                    delivered=len(delivered),
-                    acked=len(acked),
-                    duration=duration,
-                )
-                records.append(record)
-                if observe:
+            rec = st.records[-1]
+            record = StreamingRoundRecord(
+                index=t,
+                delay_range=rec.delay_range,
+                offered=round_offered,
+                admitted=round_admitted,
+                rejected=round_rejected,
+                expired=round_expired,
+                active_before=rec.active_before,
+                delivered=rec.delivered,
+                acked=rec.acked,
+                duration=rec.duration,
+            )
+            records.append(record)
+            if observe:
+                if rec.active_before:
                     metrics.inc("scenario_rounds_total")
-                    metrics.inc("scenario_acked_total", len(acked))
-                    metrics.gauge("scenario_active_worms", len(active))
-                if self._trace is not None:
-                    self._trace.write(
-                        "scenario_round",
-                        trial=self._trace_trial,
-                        **dataclasses.asdict(record),
+                    metrics.inc("scenario_acked_total", rec.acked)
+                metrics.gauge("scenario_active_worms", len(st.active))
+            if self._trace is not None:
+                self._trace.write(
+                    "scenario_round",
+                    trial=self._trace_trial,
+                    **dataclasses.asdict(record),
+                )
+            if tracker is not None:
+                tracker.observe_round(record)
+                if tracker.due:
+                    self._emit_window(
+                        tracker.flush(t, len(st.active)), metrics, observe
                     )
-                if tracker is not None:
-                    tracker.observe_round(record)
-                    if tracker.due:
-                        self._emit_window(
-                            tracker.flush(t, len(active)), metrics, observe
-                        )
-                stall.observe_round(len(acked))
-
-            if not streaming and not active:
-                completed = True
+            if not streaming and not st.active:
                 break
 
         if tracker is not None and tracker.rounds:
             # Partial trailing window (horizon or drain not divisible by
             # snapshot_every): flush it so the series covers every round.
             self._emit_window(
-                tracker.flush(rounds_used, len(active)), metrics, observe
+                tracker.flush(st.rounds_used, len(st.active)), metrics, observe
             )
-        if streaming:
-            completed = not active
-
+        completed = not st.active
         out = StreamingResult(
             completed=completed,
-            rounds=rounds_used,
-            total_time=total_time,
+            rounds=st.rounds_used,
+            total_time=st.total_time,
             offered=offered,
             admitted=admitted,
-            acked=acked_total,
+            acked=len(latencies),
             rejected=rejected,
             expired=expired,
             records=tuple(records),
-            delivered_round=delivered_round,
+            delivered_round=st.delivered_round,
             admitted_round=admitted_round,
             latencies=tuple(latencies),
+            collisions_per_round=tuple(st.collisions_per_round),
+            repairs=tuple(st.repairs),
         )
         if observe:
             metrics.inc("scenario_runs_total")

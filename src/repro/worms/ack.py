@@ -9,7 +9,7 @@ wavelengths for each direction).
 The protocol's default ``ack_mode="ideal"`` assumes acks always arrive --
 this matches the paper's proof simplification of folding acknowledgement
 congestion into a doubled path congestion. ``ack_mode="simulated"`` builds
-the worms below and routes them through the same engine for ablation
+the worms below and routes them on a dedicated ack engine for ablation
 E-AB3.
 """
 
@@ -26,8 +26,7 @@ def ack_worm(worm: Worm, ack_length: int = 1, uid_offset: int = 0) -> Worm:
     """The acknowledgement worm for ``worm``: reversed path, short payload.
 
     ``uid_offset`` shifts the ack uid so forward and backward worms can
-    coexist in one bookkeeping namespace (callers typically pass the size
-    of the forward collection).
+    coexist in one bookkeeping namespace.
     """
     if ack_length <= 0:
         raise ValueError(f"ack length must be positive, got {ack_length}")
@@ -39,6 +38,9 @@ def ack_worm(worm: Worm, ack_length: int = 1, uid_offset: int = 0) -> Worm:
 
 
 def ack_worms(worms: Sequence[Worm], ack_length: int = 1) -> list[Worm]:
-    """Acknowledgement worms for a whole collection, uid-offset by its size."""
-    offset = len(worms)
-    return [ack_worm(w, ack_length=ack_length, uid_offset=offset) for w in worms]
+    """Acknowledgement worms for ``worms``, each keeping its forward uid.
+
+    Acks route on their own engine, so sharing the forward uid cannot
+    collide, and uids stay unique however many worms are added later.
+    """
+    return [ack_worm(w, ack_length=ack_length) for w in worms]

@@ -231,6 +231,136 @@ class TestMetricsAndTrace:
         assert summaries[0]["acked"] == result.acked
 
 
+def _spy_stepper(monkeypatch):
+    """Capture the protocol and trial state a streaming run steps."""
+    seen = {}
+    start = TrialAndFailureProtocol._start_trial
+
+    def spy(self, rng=None):
+        seen["proto"] = self
+        seen["state"] = start(self, rng)
+        return seen["state"]
+
+    monkeypatch.setattr(TrialAndFailureProtocol, "_start_trial", spy)
+    return seen
+
+
+def _assert_holds_only_active(proto, st):
+    """The stepper's per-worm state covers the active worms and no others."""
+    active = set(st.active)
+    assert {w.uid for w in proto.worms} == active
+    assert set(st.live_paths) == active
+    assert st.delivered_ever <= active
+    assert set(proto.engine.worms) == active
+    if proto._ack_engine is not None:
+        assert set(proto._ack_engine.worms) == active
+
+
+class TestStepperFeatures:
+    """Streaming runs on the protocol's stepper get all of its features."""
+
+    def test_simulated_acks(self, monkeypatch):
+        net = build_network({"kind": "mesh", "side": 4})
+        seen = _spy_stepper(monkeypatch)
+        config = _streaming_config(
+            protocol=ProtocolConfig(bandwidth=2, ack_mode="simulated"),
+            rounds=80,
+        )
+        result = StreamingEngine(config, network=net).run(as_generator(5))
+        assert result.admitted > 40
+        assert result.acked > 0
+        assert len(result.latencies) == result.acked
+        assert result.offered == result.admitted + result.rejected
+        proto, st = seen["proto"], seen["state"]
+        # Ack worms keep their forward uid, so uids stay unique across
+        # admissions and each ack reverses its own forward path.
+        fwd, ack = proto.engine.worms, proto._ack_engine.worms
+        assert set(ack) == set(fwd)
+        for uid, worm in fwd.items():
+            assert ack[uid].path == tuple(reversed(worm.path))
+        _assert_holds_only_active(proto, st)
+        again = StreamingEngine(config, network=net).run(as_generator(5))
+        assert again.records == result.records
+
+    def test_simulated_ack_drain_matches_static_protocol(self):
+        _, coll, _ = _backlog_collection(n_worms=20)
+        proto = ProtocolConfig(
+            bandwidth=2, max_rounds=200, ack_mode="simulated"
+        )
+        _assert_drain_matches_static(proto, coll)
+
+    def test_reroute_repair_under_persistent_failures(self):
+        from repro.faults.models import PersistentLinkFailures
+
+        net = build_network({"kind": "mesh", "side": 4})
+        config = _streaming_config(
+            protocol=ProtocolConfig(
+                bandwidth=2,
+                faults=PersistentLinkFailures(rate=0.01),
+                repair="reroute",
+                suspect_after=2,
+            ),
+            patience=40,
+            rounds=120,
+        )
+        registry = MetricsRegistry()
+        result = StreamingEngine(config, network=net, metrics=registry).run(
+            as_generator(2)
+        )
+        assert result.repairs
+        assert registry.value("protocol_repairs_total") == len(result.repairs)
+        first = result.repairs[0].round
+        assert any(r.acked for r in result.records if r.index > first)
+        assert result.acked > 0
+
+    def test_collect_collisions(self):
+        net = build_network({"kind": "mesh", "side": 4})
+        plain = StreamingEngine(
+            _streaming_config(), network=net
+        ).run(as_generator(7))
+        logged = StreamingEngine(
+            _streaming_config(
+                protocol=ProtocolConfig(bandwidth=4, collect_collisions=True)
+            ),
+            network=net,
+        ).run(as_generator(7))
+        assert logged.records == plain.records
+        assert logged.latencies == plain.latencies
+        assert plain.collisions_per_round == ()
+        routed = [r for r in logged.records if r.active_before]
+        assert len(logged.collisions_per_round) == len(routed)
+        assert any(logged.collisions_per_round)
+
+    def test_retired_worms_leave_no_state(self, monkeypatch):
+        from repro.faults.models import AckLoss, ComposedFaults
+
+        # Faults and ack loss make worms expire, and make some of them be
+        # delivered without an ack first (a delivered_ever entry).
+        net = build_network({"kind": "mesh", "side": 4})
+        seen = _spy_stepper(monkeypatch)
+        config = _streaming_config(
+            protocol=ProtocolConfig(
+                bandwidth=2,
+                ack_mode="simulated",
+                faults=ComposedFaults(
+                    [TransientLinkFaults(0.2), AckLoss(0.3)]
+                ),
+            ),
+            arrivals=PoissonArrivals(rate=4.0),
+            max_active=32,
+            patience=3,
+            rounds=400,
+        )
+        result = StreamingEngine(config, network=net).run(as_generator(3))
+        assert result.admitted > 1000
+        assert result.acked > 500
+        assert result.expired > 50
+        proto, st = seen["proto"], seen["state"]
+        assert st.duplicates > 0
+        _assert_holds_only_active(proto, st)
+        assert len(st.active) <= 32
+
+
 class TestValidation:
     def test_drain_mode_needs_collection(self):
         with pytest.raises(ScenarioError, match="collection"):
@@ -245,18 +375,6 @@ class TestValidation:
             StreamingConfig(
                 protocol=ProtocolConfig(bandwidth=4),
                 arrivals=PoissonArrivals(),
-            )
-
-    def test_simulated_acks_rejected(self):
-        with pytest.raises(ScenarioError, match="ideal"):
-            _streaming_config(
-                protocol=ProtocolConfig(bandwidth=4, ack_mode="simulated")
-            )
-
-    def test_reroute_repair_rejected(self):
-        with pytest.raises(ScenarioError, match="repair"):
-            _streaming_config(
-                protocol=ProtocolConfig(bandwidth=4, repair="reroute")
             )
 
     @pytest.mark.parametrize(

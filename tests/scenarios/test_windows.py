@@ -221,12 +221,14 @@ class TestValidationAndSpec:
 
 class TestReservoir:
     def test_reservoir_caps_samples_but_counts_all(self):
-        from repro.scenarios.engine import WINDOW_RESERVOIR_CAP, _WindowTracker
+        from repro.observability.groupstats import DEFAULT_RESERVOIR_CAP
+        from repro.scenarios.engine import _WindowTracker
 
         tracker = _WindowTracker(every=10)
-        n = WINDOW_RESERVOIR_CAP * 3
+        n = DEFAULT_RESERVOIR_CAP * 3
         for i in range(n):
-            tracker.observe_latency(i % 50)
+            tracker.observe_latency(i % 50, uid=i)
+        assert tracker.latency.sample_size == DEFAULT_RESERVOIR_CAP
         window = tracker.flush(end_round=10, active=0)
         assert window["latency_samples"] == n
         assert window["latency_p50"] is not None
@@ -236,8 +238,8 @@ class TestReservoir:
         from repro.scenarios.engine import _WindowTracker
 
         tracker = _WindowTracker(every=10)
-        for v in (1, 2, 3, 4):
-            tracker.observe_latency(v)
+        for uid, v in enumerate((1, 2, 3, 4)):
+            tracker.observe_latency(v, uid=uid)
         window = tracker.flush(end_round=10, active=0)
         # Exact order statistics: ceil(q*n)-1 over the sorted sample.
         assert window["latency_p50"] == 2.0

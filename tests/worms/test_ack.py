@@ -30,10 +30,13 @@ class TestAckWorm:
 
 
 class TestAckWorms:
-    def test_offsets_by_collection_size(self):
+    def test_keeps_forward_uids(self):
         worms = make_worms([("a", "b"), ("b", "c")], length=2)
         acks = ack_worms(worms)
-        assert [a.uid for a in acks] == [2, 3]
+        assert [a.uid for a in acks] == [0, 1]
+        # A later batch of worms never reuses an earlier ack's uid.
+        more = [Worm(uid=2, path=("c", "d"), length=2)]
+        assert [a.uid for a in acks + ack_worms(more)] == [0, 1, 2]
 
     def test_paths_all_reversed(self):
         worms = make_worms([("a", "b", "c"), ("x", "y")], length=2)
