@@ -119,8 +119,8 @@ def collect_sample() -> dict:
         stages[stage] = span["total"] / span["count"]
 
     # Warm-up (same spirit as the round warm-up above): first-touch
-    # costs -- the collection's cached share matrix, allocator pools --
-    # do not belong to steady-state throughput.
+    # costs -- the collection's engine template and congestion oracle,
+    # allocator pools -- do not belong to steady-state throughput.
     route_collection_trials(
         coll, bandwidth=BANDWIDTH, trials=2,
         worm_length=WORM_LENGTH, seed=0, jobs=1,

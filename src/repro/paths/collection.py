@@ -18,6 +18,7 @@ traversals of one fiber pair never contend.
 
 from __future__ import annotations
 
+import itertools
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -26,12 +27,7 @@ import numpy as np
 from repro.errors import PathError
 from repro.network.topology import Topology
 
-__all__ = ["PathCollection"]
-
-#: Largest collection for which the dense path-adjacency matrix is
-#: cached (4 * n**2 bytes reaches 16 MiB here; callers fall back to
-#: per-subset recomputation past it).
-_SHARE_MATRIX_MAX_PATHS = 2048
+__all__ = ["ActiveCongestion", "PathCollection"]
 
 
 class PathCollection:
@@ -145,6 +141,44 @@ class PathCollection:
         """Average per-path congestion (used by the application theorems)."""
         return float(self.per_path_congestion.mean())
 
+    @cached_property
+    def _sharing(self) -> tuple[np.ndarray, ...]:
+        """The static half of :class:`ActiveCongestion`, built on first use.
+
+        Identical paths form one class, so a type-2 gadget's thousands of
+        copies cost one row. Returns ``(class_of, sizes, indptr, indices,
+        full)``: each path's class, each class's path count, per class
+        the classes sharing a directed link with it (itself included) as
+        a CSR list, and each class's path congestion with every path
+        present.
+        """
+        ids: dict[tuple, int] = {}
+        class_of = [ids.setdefault(path, len(ids)) for path in self._paths]
+        # Walk links by position, not by (node, node) key: node tuples
+        # hash slowly. When every path is distinct, classes are path ids.
+        pids_on = self.link_paths.values()
+        on_link = (
+            list(pids_on)
+            if len(ids) == len(class_of)
+            else [{class_of[pid] for pid in pids} for pids in pids_on]
+        )
+        links_of: list[list[int]] = [[] for _ in ids]
+        for lid, classes in enumerate(on_link):
+            for c in classes:
+                links_of[c].append(lid)
+        rows = [
+            set(itertools.chain.from_iterable(map(on_link.__getitem__, lids)))
+            for lids in links_of
+        ]
+        lens = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        indptr = np.concatenate(([0], np.cumsum(lens)))
+        indices = np.fromiter(
+            itertools.chain.from_iterable(rows), dtype=np.int64, count=int(indptr[-1])
+        )
+        sizes = np.bincount(class_of, minlength=len(rows))
+        full = np.add.reduceat(sizes[indices], indptr[:-1])
+        return np.array(class_of, dtype=np.int64), sizes, indptr, indices, full
+
     # -- derived views ---------------------------------------------------------
 
     def sources(self) -> list:
@@ -158,77 +192,73 @@ class PathCollection:
     def subset(self, path_ids: Sequence[int]) -> "PathCollection":
         """A new collection containing only ``path_ids`` (order preserved).
 
-        Used by the protocol to re-measure the congestion of the surviving
-        worms between rounds (Lemma 2.4's quantity).
+        The subset keeps this collection's topology; its paths are not
+        validated against it again.
         """
         ids = list(path_ids)
         if not ids:
             raise PathError("subset of a path collection cannot be empty")
-        return PathCollection(
-            [self._paths[i] for i in ids],
-            topology=self.topology,
-            require_simple=False,
-        )
-
-    @cached_property
-    def _share_matrix(self) -> "np.ndarray | None":
-        """0/1 ``n x n`` matrix: paths ``i`` and ``j`` share a directed link.
-
-        float32 so a blas matmul against it stays exact (every count it
-        can produce is an integer below ``2**24``) while the cache stays
-        small; None when the collection exceeds
-        ``_SHARE_MATRIX_MAX_PATHS`` and the dense form would not pay.
-        Built one link at a time from the paths crossing it, so no dense
-        path x link incidence matrix (and no matmul workspace) is ever
-        allocated.
-        """
-        n = self.n
-        if n > _SHARE_MATRIX_MAX_PATHS:
-            return None
-        crossing: dict[tuple, list[int]] = {}
-        for pid, path in enumerate(self._paths):
-            for link in zip(path, path[1:]):
-                crossing.setdefault(link, []).append(pid)
-        shares = np.zeros((n, n), dtype=bool)
-        for pids in crossing.values():
-            idx = np.asarray(pids)
-            shares[np.ix_(idx, idx)] = True
-        return shares.astype(np.float32)
-
-    def subset_congestion_batch(
-        self, active: "np.ndarray"
-    ) -> "np.ndarray | None":
-        """``subset(mask).path_congestion`` for many masks in one matmul.
-
-        ``active`` is a ``(K, n)`` boolean matrix of per-trial survivor
-        masks over *this* collection's paths. Returns the ``K`` exact
-        congestion values (``int64``), bit-equal to building each subset
-        and reading its ``path_congestion`` -- for an active path ``i``,
-        the subset's sharing set is exactly the active paths adjacent to
-        ``i`` in the share matrix, and all counts are small integers, so
-        the float32 accumulation is exact. Returns None when the
-        collection is too large for the dense share matrix (callers fall
-        back to the per-subset path). Rows with no active path yield 0
-        (``subset`` itself would refuse an empty selection).
-        """
-        shares = self._share_matrix
-        if shares is None:
-            return None
-        mask = np.ascontiguousarray(np.asarray(active, dtype=np.float32))
-        counts = mask @ shares
-        # Only surviving paths participate in the max.
-        counts[mask == 0.0] = 0.0
-        return counts.max(axis=1).astype(np.int64)
+        sub = PathCollection([self._paths[i] for i in ids], require_simple=False)
+        sub.topology = self.topology
+        return sub
 
     def merged_with(self, other: "PathCollection") -> "PathCollection":
         """Concatenate two collections (topology kept only if shared)."""
-        topo = self.topology if self.topology is other.topology else None
-        return PathCollection(
-            self._paths + other.paths, topology=topo, require_simple=False
-        )
+        merged = PathCollection(self._paths + other.paths, require_simple=False)
+        if self.topology is other.topology:
+            merged.topology = self.topology
+        return merged
 
     def __repr__(self) -> str:
         return (
             f"<PathCollection n={self.n} D={self.dilation} "
             f"C~={self.path_congestion} C_edge={self.edge_congestion}>"
         )
+
+
+class ActiveCongestion:
+    """Path congestion of a shrinking set of a collection's paths.
+
+    The exact incremental oracle behind Lemma 2.4's observable: every
+    path starts present, and each :meth:`measure` names the paths still
+    present (a subset of those the previous call named) and returns
+    ``collection.subset(ids).path_congestion`` without building the
+    subset. It keeps, per class of identical paths, the count of present
+    paths sharing a directed link with it; paths that left since the
+    previous call decrement the counts of the classes they share a link
+    with. The sharing lists are cached on the collection, so every
+    oracle over one collection shares them.
+    """
+
+    __slots__ = ("_class_of", "_indptr", "_indices", "_present", "_alive", "_counts")
+
+    def __init__(self, collection: PathCollection) -> None:
+        self._class_of, sizes, self._indptr, self._indices, full = (
+            collection._sharing
+        )
+        self._present = np.ones(len(self._class_of), dtype=bool)
+        self._alive = sizes.copy()
+        self._counts = full.copy()
+
+    def measure(self, ids: Sequence[int]) -> int:
+        """Path congestion of the paths ``ids`` (0 when there are none)."""
+        present = np.zeros_like(self._present)
+        present[ids] = True
+        gone = self._class_of[self._present & ~present]
+        self._present = present
+        if gone.size:
+            left = np.bincount(gone, minlength=len(self._alive))
+            self._alive -= left
+            classes = np.flatnonzero(left)
+            starts = self._indptr[classes]
+            lens = self._indptr[classes + 1] - starts
+            # One gather over the CSR rows of every class that lost paths.
+            rows = np.repeat(starts - (np.cumsum(lens) - lens), lens)
+            rows += np.arange(rows.shape[0])
+            self._counts -= np.bincount(
+                self._indices[rows],
+                weights=np.repeat(left[classes], lens),
+                minlength=len(self._counts),
+            ).astype(np.int64)
+        counts = self._counts[self._alive > 0]
+        return int(counts.max()) if counts.size else 0

@@ -1,9 +1,9 @@
 """Lockstep protocol batching: ``run_protocol_batch`` vs serial trials.
 
 ``run_protocol_batch`` runs many seeds' trials in lockstep -- one
-``run_round_batch`` call per round across all live trials, and a bulk
-congestion oracle between rounds -- but every per-trial observable must
-be bit-identical to ``route_collection(collection, config, seed)`` run
+``run_round_batch`` call per round across all live trials, each trial
+forking the collection's engine template -- but every per-trial
+observable must be bit-identical to ``route_collection(collection, config, seed)`` run
 alone: the full ``ProtocolResult`` (records, collision counts, repairs),
 per-trial metric counters and gauges, and the flight-recorder trace.
 """
@@ -124,38 +124,3 @@ class TestBitIdentity:
                 collection, CONFIGS[0], SEEDS, metrics=[MetricsRegistry()]
             )
 
-
-class TestCongestionOracle:
-    def test_bulk_subset_congestion_is_exact(self, collection):
-        import numpy as np
-
-        rng = np.random.default_rng(0)
-        n = collection.n
-        masks = rng.random((40, n)) < rng.uniform(0.1, 0.9, size=(40, 1))
-        masks[0] = False  # all-dead row: documented to yield 0
-        masks[1] = True
-        got = collection.subset_congestion_batch(masks)
-        assert got is not None
-        for row, mask in zip(got, masks):
-            ids = [i for i in range(n) if mask[i]]
-            expected = (
-                collection.subset(ids).path_congestion if ids else 0
-            )
-            assert row == expected
-
-    def test_oversize_collection_returns_none(self):
-        import numpy as np
-
-        from repro.paths import collection as coll_mod
-
-        coll = mesh_random_function(4, 2, rng=1)
-        masks = np.ones((2, coll.n), dtype=bool)
-        assert coll.subset_congestion_batch(masks) is not None
-        big = coll_mod.PathCollection(coll.paths, topology=coll.topology)
-        try:
-            coll_mod._SHARE_MATRIX_MAX_PATHS, saved = 1, (
-                coll_mod._SHARE_MATRIX_MAX_PATHS
-            )
-            assert big.subset_congestion_batch(masks) is None
-        finally:
-            coll_mod._SHARE_MATRIX_MAX_PATHS = saved

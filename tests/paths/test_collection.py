@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import PathError
 from repro.network.ring import Chain
+from repro.network.topology import Topology
 from repro.paths.collection import PathCollection
 
 
@@ -114,6 +115,26 @@ class TestSubsetMerge:
     def test_subset_recomputes_congestion(self):
         pc = PathCollection([["a", "b"]] * 4)
         assert pc.subset([0, 1]).path_congestion == 2
+
+    def test_derived_collections_skip_revalidation(self, monkeypatch):
+        chain = Chain(5)
+        pc = PathCollection([[0, 1, 2], [2, 3], [1, 2, 3, 4]], topology=chain)
+        calls = []
+        validate = Topology.validate_paths
+
+        def counting(topology, paths):
+            calls.append(topology)
+            validate(topology, paths)
+
+        monkeypatch.setattr(Topology, "validate_paths", counting)
+        sub = pc.subset([2, 0])
+        merged = pc.merged_with(sub)
+        assert calls == []
+        assert sub.topology is chain and merged.topology is chain
+        assert sub.paths == ((1, 2, 3, 4), (0, 1, 2))
+        assert merged.n == 5 and merged.path_congestion == 5
+        PathCollection(sub.paths, topology=chain)
+        assert calls == [chain]
 
     def test_merged_with(self):
         a = PathCollection([["a", "b"]])
