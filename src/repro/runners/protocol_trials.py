@@ -33,6 +33,7 @@ from repro.runners.trial import (
 
 __all__ = [
     "LOCKSTEP_SLICE",
+    "lockstep_width",
     "protocol_trial",
     "protocol_trial_batch",
     "instrumented_protocol_trial",
@@ -48,6 +49,21 @@ __all__ = [
 #: loses and how much memory a call holds. 16 is the slice width of the
 #: measured lockstep workload (docs/PERFORMANCE.md).
 LOCKSTEP_SLICE = 16
+
+
+def lockstep_width(
+    trials: int, jobs: int = 1, timeout: float | None = None
+) -> int:
+    """Seeds per runner unit when ``trials`` lockstep trials share ``jobs``.
+
+    ``min(LOCKSTEP_SLICE, ceil(trials / jobs))``, so every worker gets a
+    slice and no slice outgrows the measured width. ``timeout`` bounds
+    one attempt of one trial, so when it is given every slice is one
+    seed.
+    """
+    if timeout is not None:
+        return 1
+    return max(1, min(LOCKSTEP_SLICE, math.ceil(trials / max(1, jobs))))
 
 
 def fault_label(config: protocol.ProtocolConfig) -> str:
@@ -210,10 +226,9 @@ def route_collection_trials(
     with the same arguments resumes from the journal, skipping the
     already-completed trials.
 
-    The seeds are cut into contiguous slices of
-    ``min(ceil(trials / jobs), LOCKSTEP_SLICE)``; a slice is the
-    runner's unit of dispatch, retry, progress report and checkpoint
-    write. A slice of two or more seeds runs in lockstep through
+    The seeds are cut into contiguous slices of :func:`lockstep_width`
+    seeds; a slice is the runner's unit of dispatch, retry, progress
+    report and checkpoint write. A slice of two or more seeds runs in lockstep through
     :func:`repro.core.protocol.run_protocol_batch`, which amortises the
     engine's per-round array passes across the slice; a one-seed slice
     runs :meth:`TrialAndFailureProtocol.run`. Both are bit-identical
@@ -245,10 +260,6 @@ def route_collection_trials(
         collection=collection,
         config=config,
     )
-    if timeout is None:
-        width = min(LOCKSTEP_SLICE, math.ceil(trials / max(1, jobs)))
-    else:
-        width = 1
     runner = TrialRunner(
         trial_fn,
         jobs=jobs,
@@ -257,7 +268,7 @@ def route_collection_trials(
         progress=progress,
         metrics=metrics,
         checkpoint=checkpoint,
-        batch_size=max(1, width),
+        batch_size=lockstep_width(trials, jobs, timeout),
     )
     started = time.time()
     outputs = runner.run(trials, seed)

@@ -1,9 +1,8 @@
 """Parallel, batched execution of independent Monte-Carlo trials.
 
-Every "w.h.p." statement in the reproduction becomes replicated trials,
-and until now every one of them ran strictly serially through the pure
-Python round loop. :class:`TrialRunner` executes many independent trials
-across a :class:`concurrent.futures.ProcessPoolExecutor` while keeping
+Every "w.h.p." statement in the reproduction becomes replicated trials.
+:class:`TrialRunner` executes many independent trials, in-process or
+across a :class:`concurrent.futures.ProcessPoolExecutor`, while keeping
 the *numbers* untouchable:
 
 * each trial is seeded with its own child seed from :func:`spawn_seeds`
@@ -35,10 +34,18 @@ Two robustness layers on top:
   runner config (context mismatch) is refused rather
   than silently mixing non-comparable results.
 * a :class:`~concurrent.futures.process.BrokenProcessPool` (a worker
-  killed by the OOM killer, a segfaulting extension, ...) no longer
-  abandons the batch: the pool is rebuilt and every unsettled trial is
-  resubmitted (counted as an attempt), up to a separate rebuild cap so
+  killed by the OOM killer, a segfaulting extension, ...), whether seen
+  when submitting or when collecting a result, does not abandon the
+  batch: the pool is rebuilt and every unsettled trial is resubmitted
+  (counted as an attempt), up to a separate rebuild cap so
   ``retries=0`` batches still survive worker crashes.
+
+Both callable shapes -- ``fn(seed)``, and ``fn(seeds)`` under
+``batch_size`` -- run through one dispatch loop over *units*: contiguous
+slices of the trial indices not yet done, one seed wide for a per-seed
+``fn``. A unit is the runner's grain of submission, timeout, retry and
+checkpoint write; in-process and pooled execution differ only in how a
+unit's output is obtained.
 
 Batch mechanics (trial counts, per-trial latency, retries, timeouts,
 pool occupancy, pool rebuilds, checkpoint traffic) are instrumented
@@ -60,7 +67,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor, TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NoReturn, Sequence
 
 from repro._util import as_generator, durable_write_text
 from repro.errors import TrialError
@@ -115,29 +122,40 @@ _POOL_REBUILD_LIMIT = 3
 #: Sentinel distinguishing "not settled yet" from a legal None result.
 _UNSET = object()
 
-#: Per-worker shared state: the unpickled trial callable. Populated once
+#: Per-worker shared state: the unpickled unit function. Populated once
 #: per worker process by :func:`_worker_init`; every subsequent submit
-#: ships only a seed instead of re-pickling the whole closure (worms,
-#: topology, engine config) on each trial.
+#: ships only a seed slice instead of re-pickling the whole closure
+#: (worms, topology, engine config) on each unit.
 _WORKER_FN: Callable | None = None
 
 
 def _worker_init(payload: bytes) -> None:
-    """Pool initializer: unpickle the trial function once per worker."""
+    """Pool initializer: unpickle the unit function once per worker."""
     global _WORKER_FN
     _WORKER_FN = pickle.loads(payload)
 
 
-def _worker_run(seed: int):
-    """Invoke the worker's shared trial function on one seed."""
-    assert _WORKER_FN is not None, "worker pool initializer did not run"
-    return _WORKER_FN(seed)
-
-
 def _worker_run_batch(seeds: list[int]):
-    """Invoke the worker's shared *batch* trial function on a seed slice."""
+    """Invoke the worker's shared unit function on a seed slice."""
     assert _WORKER_FN is not None, "worker pool initializer did not run"
     return _WORKER_FN(seeds)
+
+
+def _each_seed(seeds: list[int], fn: Callable) -> list:
+    """A per-seed trial function's unit function: ``fn`` on every seed.
+
+    Bound with :func:`functools.partial`, so it pickles whenever ``fn``
+    does; per-seed units hold one seed.
+    """
+    return [fn(seed) for seed in seeds]
+
+
+def _pickled(fn: Callable) -> bytes | None:
+    """``fn`` pickled for the pool initializer, or None if it cannot be."""
+    try:
+        return pickle.dumps(fn)
+    except Exception:
+        return None
 
 
 def _batch_results(out, unit: Sequence[int]) -> list:
@@ -220,8 +238,12 @@ class _Checkpoint:
         }
         return dict(self.completed)
 
-    def record(self, index: int, result) -> None:
-        """Persist one settled trial (atomic, fsynced full rewrite).
+    def record_many(self, indices: Sequence[int], results: Sequence) -> None:
+        """Persist one settled unit (atomic, fsynced full rewrite).
+
+        The file contents depend only on the completed-trials map, so the
+        final checkpoint is byte-identical for any unit width -- a wider
+        unit just amortises the rewrite.
 
         Durability matters as much as atomicity here: the sweep layer's
         whole resume story assumes a checkpoint visible on disk really
@@ -229,17 +251,6 @@ class _Checkpoint:
         both fsynced before the ``os.replace`` -- a ``kill -9`` (or
         power cut) at any instant leaves either the previous or the next
         valid JSON, never a torn file.
-        """
-        self.completed[index] = result
-        self._flush()
-
-    def record_many(self, indices: Sequence[int], results: Sequence) -> None:
-        """Persist one settled batch unit in a single atomic rewrite.
-
-        The file contents depend only on the completed-trials map, so a
-        batch-dispatched run's final checkpoint is byte-identical to the
-        per-trial :meth:`record` sequence over the same results -- the
-        unit just amortises the fsynced rewrite.
         """
         for i, r in zip(indices, results):
             self.completed[i] = r
@@ -292,8 +303,9 @@ class TrialRunner:
     """Run ``fn(seed)`` over many independent seeds, optionally in parallel.
 
     ``jobs`` is the worker-process count (1 = in-process serial);
-    ``timeout`` bounds one attempt of one trial in seconds (enforced only
-    when ``jobs > 1``: a single process cannot preempt its own trial);
+    ``timeout`` bounds one attempt of one unit in seconds (enforced only
+    when ``jobs > 1`` and ``fn`` pickles: a single process cannot preempt
+    its own trial; with a timeout even a lone unit goes to the pool);
     ``retries`` is how many *extra* attempts a failed or timed-out trial
     gets before :class:`TrialError` is raised; ``progress`` is called
     with a :class:`TrialProgress` after every trial settles; ``metrics``
@@ -394,53 +406,59 @@ class TrialRunner:
                     len(seeds),
                 )
                 metrics.inc("runner_checkpoint_loaded_total", len(preloaded))
-        if self.batch_size is not None:
-            # Batch dispatch: slice boundaries never change results or
-            # checkpoint bytes, so batch_size stays out of the
-            # checkpoint context on purpose (a resume may re-slice).
-            if (
-                self.jobs == 1
-                or len(seeds) - len(preloaded) <= self.batch_size
-            ):
-                return self._run_serial_batched(seeds, metrics, ckpt, preloaded)
-            if not self._picklable():
+        # Units are contiguous slices of the *remaining* indices (a resume
+        # re-slices around checkpointed holes). Slice boundaries never
+        # change results or checkpoint bytes, so batch_size stays out of
+        # the checkpoint context on purpose.
+        todo = [i for i in range(len(seeds)) if i not in preloaded]
+        width = self.batch_size or 1
+        units = [todo[k:k + width] for k in range(0, len(todo), width)]
+        unit_fn = (
+            self.fn
+            if self.batch_size is not None
+            else functools.partial(_each_seed, fn=self.fn)
+        )
+        # A lone unit gains nothing from a pool -- unless a timeout has to
+        # be enforced, which only a worker process can do.
+        payload = None
+        if self.jobs > 1 and (
+            len(units) > 1 or (units and self.timeout is not None)
+        ):
+            payload = _pickled(unit_fn)
+            if payload is None:
                 _log.warning(
-                    "batch trial function %r is not picklable; running "
-                    "%d trial(s) in-process although jobs=%d were "
-                    "requested (define it at module level, or wrap "
-                    "module-level functions with functools.partial, to "
-                    "parallelize)",
+                    "trial function %r is not picklable; running %d "
+                    "trial(s) in-process although jobs=%d were requested "
+                    "(define it at module level, or wrap module-level "
+                    "functions with functools.partial, to parallelize)",
                     self.fn,
                     len(seeds),
                     self.jobs,
                 )
                 metrics.inc("runner_serial_fallbacks_total")
-                return self._run_serial_batched(seeds, metrics, ckpt, preloaded)
-            return self._run_pool_batched(seeds, metrics, ckpt, preloaded)
-        if self.jobs == 1 or len(seeds) - len(preloaded) <= 1:
-            return self._run_serial(seeds, metrics, ckpt, preloaded)
-        if not self._picklable():
+        if payload is None and self.timeout is not None:
+            # A single process cannot preempt its own trial, so say so
+            # instead of letting a stuck trial hang a "timeout-bounded"
+            # sweep without explanation.
             _log.warning(
-                "trial function %r is not picklable; running %d trial(s) "
-                "serially although jobs=%d were requested (define it at "
-                "module level, or wrap module-level functions with "
-                "functools.partial, to parallelize)",
-                self.fn,
-                len(seeds),
-                self.jobs,
+                "timeout=%ss is configured but this batch of %d trial(s) "
+                "runs in-process, where timeouts cannot be enforced; a "
+                "stuck trial will hang the batch (use jobs>1 for "
+                "preemptible trials)",
+                self.timeout,
+                len(todo),
             )
-            metrics.inc("runner_serial_fallbacks_total")
-            return self._run_serial(seeds, metrics, ckpt, preloaded)
-        return self._run_pool(seeds, metrics, ckpt, preloaded)
+            metrics.inc("runner_timeout_unenforced_total")
+        results: list = [_UNSET] * len(seeds)
+        for i, r in preloaded.items():
+            results[i] = r
+        self._dispatch(
+            unit_fn, payload, units, seeds, results, metrics, ckpt,
+            done=len(preloaded),
+        )
+        return results
 
     # -- internals -----------------------------------------------------------
-
-    def _picklable(self) -> bool:
-        try:
-            pickle.dumps(self.fn)
-            return True
-        except Exception:
-            return False
 
     def _report(
         self, index, seed, attempts, done, total, t0, error=None
@@ -458,357 +476,69 @@ class TrialRunner:
                 )
             )
 
-    def _run_serial(
+    def _dispatch(
         self,
+        unit_fn: Callable,
+        payload: bytes | None,
+        units: list[list[int]],
         seeds: list[int],
-        metrics: MetricsRegistry,
-        ckpt: _Checkpoint | None = None,
-        preloaded: dict[int, object] | None = None,
-    ) -> list:
-        preloaded = preloaded or {}
-        if self.timeout is not None:
-            # A single process cannot preempt its own trial, so a
-            # configured timeout silently stops protecting the batch the
-            # moment it runs serially (jobs=1, a tiny remainder, or the
-            # unpicklable-fn fallback). Say so instead of letting a stuck
-            # trial hang a "timeout-bounded" sweep without explanation.
-            _log.warning(
-                "timeout=%ss is configured but this batch of %d trial(s) "
-                "runs serially, where per-trial timeouts cannot be "
-                "enforced; a stuck trial will hang the batch (use jobs>1 "
-                "for preemptible trials)",
-                self.timeout,
-                len(seeds) - len(preloaded),
-            )
-            metrics.inc("runner_timeout_unenforced_total")
-        t0 = time.perf_counter()
-        observe = metrics.enabled
-        prof = get_profiler()
-        results = []
-        executed = 0
-        done = len(preloaded)
-        for i, seed in enumerate(seeds):
-            if i in preloaded:
-                results.append(preloaded[i])
-                continue
-            attempts = 0
-            while True:
-                attempts += 1
-                try:
-                    t_trial = time.perf_counter() if observe else 0.0
-                    with prof.span("runner.trial"):
-                        results.append(self.fn(seed))
-                    executed += 1
-                    if observe:
-                        metrics.observe(
-                            "runner_trial_seconds",
-                            time.perf_counter() - t_trial,
-                            mode="serial",
-                        )
-                    break
-                except Exception as exc:
-                    if attempts > self.retries:
-                        metrics.inc("runner_trials_failed_total", mode="serial")
-                        self._report(
-                            i, seed, attempts, done, len(seeds), t0,
-                            error=str(exc),
-                        )
-                        raise TrialError(
-                            f"trial {i} (seed {seed}) failed after "
-                            f"{attempts} attempt(s): {exc}"
-                        ) from exc
-                    metrics.inc("runner_retries_total", mode="serial")
-            if ckpt is not None:
-                ckpt.record(i, results[-1])
-                metrics.inc("runner_checkpoint_writes_total")
-            done += 1
-            self._report(i, seed, attempts, done, len(seeds), t0)
-        metrics.inc("runner_trials_total", executed, mode="serial")
-        if observe:
-            metrics.observe(
-                "runner_batch_seconds", time.perf_counter() - t0, mode="serial"
-            )
-        return results
-
-    def _run_pool(
-        self,
-        seeds: list[int],
-        metrics: MetricsRegistry,
-        ckpt: _Checkpoint | None = None,
-        preloaded: dict[int, object] | None = None,
-    ) -> list:
-        preloaded = preloaded or {}
-        t0 = time.perf_counter()
-        total = len(seeds)
-        results: list = [_UNSET] * total
-        for i, r in preloaded.items():
-            results[i] = r
-        done = len(preloaded)
-        executed = 0
-        rebuilds = 0
-        metrics.gauge("runner_pool_jobs", self.jobs)
-        # The trial function crosses the process boundary exactly once
-        # per worker (pool initializer), not once per submit: each
-        # submit afterwards carries only the seed.
-        initargs = (pickle.dumps(self.fn),)
-
-        def make_pool() -> ProcessPoolExecutor:
-            return ProcessPoolExecutor(
-                max_workers=self.jobs,
-                initializer=_worker_init,
-                initargs=initargs,
-            )
-
-        pool = make_pool()
-
-        def submit_all() -> dict:
-            return {
-                i: pool.submit(_worker_run, seed)
-                for i, seed in enumerate(seeds)
-                if i not in preloaded
-            }
-
-        def rebuild_pool(exc: BaseException) -> None:
-            # A worker died hard (OOM kill, segfault): the pool is
-            # unusable and *every* unsettled future is lost, not just the
-            # one we were waiting on. Rebuild and resubmit them all,
-            # counting one attempt each -- capped separately from
-            # per-trial retries so retries=0 batches survive.
-            nonlocal pool, rebuilds
-            rebuilds += 1
-            metrics.inc("runner_pool_rebuilds_total")
-            if rebuilds > self.pool_rebuilds:
-                raise TrialError(
-                    f"worker pool broke {rebuilds} times (limit "
-                    f"{self.pool_rebuilds}); giving up on the batch"
-                ) from exc
-            pending = [j for j in futures if results[j] is _UNSET]
-            _log.warning(
-                "worker pool broke (%r); rebuilding (%d/%d) and "
-                "resubmitting %d unsettled trial(s)",
-                exc,
-                rebuilds,
-                self.pool_rebuilds,
-                len(pending),
-            )
-            pool.shutdown(wait=False, cancel_futures=True)
-            pool = make_pool()
-            for j in pending:
-                attempts[j] += 1
-                futures[j] = pool.submit(_worker_run, seeds[j])
-
-        try:
-            futures = submit_all()
-            attempts = {i: 1 for i in futures}
-            # Settle trials in index order: per-trial timeouts compose and
-            # the progress stream matches the (deterministic) result order.
-            for i, seed in enumerate(seeds):
-                if i not in futures:
-                    continue
-                while True:
-                    try:
-                        results[i] = futures[i].result(timeout=self.timeout)
-                        executed += 1
-                        break
-                    except BrokenProcessPool as exc:
-                        rebuild_pool(exc)  # raises TrialError past the cap
-                    except FutureTimeout as exc:
-                        futures[i].cancel()
-                        metrics.inc("runner_timeouts_total")
-                        if attempts[i] > self.retries:
-                            metrics.inc("runner_trials_failed_total", mode="pool")
-                            self._report(
-                                i, seed, attempts[i], done, total, t0,
-                                error=repr(exc),
-                            )
-                            raise TrialError(
-                                f"trial {i} (seed {seed}) timed out after "
-                                f"{attempts[i]} attempt(s)"
-                            ) from exc
-                        attempts[i] += 1
-                        metrics.inc("runner_retries_total", mode="pool")
-                        futures[i] = pool.submit(_worker_run, seed)
-                    except Exception as exc:
-                        if attempts[i] > self.retries:
-                            metrics.inc("runner_trials_failed_total", mode="pool")
-                            self._report(
-                                i, seed, attempts[i], done, total, t0,
-                                error=str(exc),
-                            )
-                            raise TrialError(
-                                f"trial {i} (seed {seed}) failed after "
-                                f"{attempts[i]} attempt(s): {exc}"
-                            ) from exc
-                        attempts[i] += 1
-                        metrics.inc("runner_retries_total", mode="pool")
-                        futures[i] = pool.submit(_worker_run, seed)
-                if ckpt is not None:
-                    ckpt.record(i, results[i])
-                    metrics.inc("runner_checkpoint_writes_total")
-                done += 1
-                self._report(i, seed, attempts[i], done, total, t0)
-        except BaseException:
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
-        else:
-            pool.shutdown(wait=True)
-        metrics.inc("runner_trials_total", executed, mode="pool")
-        if metrics.enabled:
-            metrics.observe(
-                "runner_batch_seconds", time.perf_counter() - t0, mode="pool"
-            )
-        return results
-
-    # -- batch dispatch (batch_size is not None) -------------------------------
-
-    def _units(
-        self, seeds: list[int], preloaded: dict[int, object]
-    ) -> list[list[int]]:
-        """Slice the outstanding trial indices into batch-dispatch units.
-
-        Units are contiguous slices of the *remaining* indices (a resume
-        re-slices around checkpointed holes); each is one submit /
-        timeout / retry / checkpoint-write unit.
-        """
-        todo = [i for i in range(len(seeds)) if i not in preloaded]
-        size = self.batch_size
-        assert size is not None
-        return [todo[k:k + size] for k in range(0, len(todo), size)]
-
-    def _settle_unit(
-        self,
-        unit: list[int],
-        out: list,
         results: list,
-        seeds: list[int],
-        attempts: int,
-        done: int,
-        total: int,
-        t0: float,
         metrics: MetricsRegistry,
         ckpt: _Checkpoint | None,
-    ) -> int:
-        """Merge one settled unit's results; returns the new done count."""
-        for i, r in zip(unit, out):
-            results[i] = r
-        if ckpt is not None:
-            ckpt.record_many(unit, out)
-            metrics.inc("runner_checkpoint_writes_total")
-        for i in unit:
-            done += 1
-            self._report(i, seeds[i], attempts, done, total, t0)
-        return done
+        done: int,
+    ) -> None:
+        """Settle every unit into ``results``, in index order.
 
-    def _run_serial_batched(
-        self,
-        seeds: list[int],
-        metrics: MetricsRegistry,
-        ckpt: _Checkpoint | None = None,
-        preloaded: dict[int, object] | None = None,
-    ) -> list:
-        preloaded = preloaded or {}
-        if self.timeout is not None:
-            _log.warning(
-                "timeout=%ss is configured but this batch of %d trial(s) "
-                "runs in-process, where per-unit timeouts cannot be "
-                "enforced; a stuck unit will hang the batch (use jobs>1 "
-                "for preemptible units)",
-                self.timeout,
-                len(seeds) - len(preloaded),
-            )
-            metrics.inc("runner_timeout_unenforced_total")
+        ``payload`` (``unit_fn`` pickled) runs the units on a worker pool
+        and None runs them inline; the two differ only in how a unit's
+        output is obtained. Retries, failure reports, result validation,
+        checkpoint writes, progress and metrics are shared. Settling in
+        index order makes per-unit timeouts compose and the progress
+        stream match the (deterministic) result order.
+        """
+        pooled = payload is not None
+        mode = "pool" if pooled else "serial"
         t0 = time.perf_counter()
         observe = metrics.enabled
         prof = get_profiler()
         total = len(seeds)
-        results: list = [_UNSET] * total
-        for i, r in preloaded.items():
-            results[i] = r
-        done = len(preloaded)
-        executed = 0
-        for unit in self._units(seeds, preloaded):
-            unit_seeds = [seeds[i] for i in unit]
-            attempts = 0
-            while True:
-                attempts += 1
-                try:
-                    t_unit = time.perf_counter() if observe else 0.0
-                    with prof.span("runner.trial_batch"):
-                        out = self.fn(unit_seeds)
-                    executed += len(unit)
-                    if observe:
-                        # One observation per trial (count parity with
-                        # per-seed mode); the value is its share of the
-                        # unit's wall time.
-                        share = (time.perf_counter() - t_unit) / len(unit)
-                        for _ in unit:
-                            metrics.observe(
-                                "runner_trial_seconds", share, mode="serial"
-                            )
-                    break
-                except Exception as exc:
-                    if attempts > self.retries:
-                        metrics.inc("runner_trials_failed_total", mode="serial")
-                        self._report(
-                            unit[0], unit_seeds[0], attempts, done, total,
-                            t0, error=str(exc),
-                        )
-                        raise TrialError(
-                            f"trial unit {unit[0]}..{unit[-1]} "
-                            f"({len(unit)} seed(s)) failed after "
-                            f"{attempts} attempt(s): {exc}"
-                        ) from exc
-                    metrics.inc("runner_retries_total", mode="serial")
-            out = _batch_results(out, unit)
-            done = self._settle_unit(
-                unit, out, results, seeds, attempts, done, total, t0,
-                metrics, ckpt,
-            )
-        metrics.inc("runner_trials_total", executed, mode="serial")
-        if observe:
-            metrics.observe(
-                "runner_batch_seconds", time.perf_counter() - t0, mode="serial"
-            )
-        return results
-
-    def _run_pool_batched(
-        self,
-        seeds: list[int],
-        metrics: MetricsRegistry,
-        ckpt: _Checkpoint | None = None,
-        preloaded: dict[int, object] | None = None,
-    ) -> list:
-        preloaded = preloaded or {}
-        t0 = time.perf_counter()
-        total = len(seeds)
-        results: list = [_UNSET] * total
-        for i, r in preloaded.items():
-            results[i] = r
-        done = len(preloaded)
-        executed = 0
+        attempts = [0] * len(units)
+        futures: dict[int, object] = {}
+        pool: ProcessPoolExecutor | None = None
         rebuilds = 0
-        metrics.gauge("runner_pool_jobs", self.jobs)
-        initargs = (pickle.dumps(self.fn),)
-        units = self._units(seeds, preloaded)
+        settling = 0
 
         def make_pool() -> ProcessPoolExecutor:
+            # The unit function crosses the process boundary exactly once
+            # per worker (pool initializer), not once per submit: each
+            # submit afterwards carries only the unit's seeds.
             return ProcessPoolExecutor(
                 max_workers=self.jobs,
                 initializer=_worker_init,
-                initargs=initargs,
+                initargs=(payload,),
             )
 
-        pool = make_pool()
+        def submit(pending) -> None:
+            # A pool found broken while submitting is rebuilt exactly like
+            # one found broken while collecting a result.
+            while True:
+                try:
+                    for ui in pending:
+                        futures[ui] = pool.submit(
+                            _worker_run_batch, [seeds[i] for i in units[ui]]
+                        )
+                        attempts[ui] += 1
+                    return
+                except BrokenProcessPool as exc:
+                    pending = rebuild_pool(exc)
 
-        def submit_unit(unit: list[int]):
-            return pool.submit(
-                _worker_run_batch, [seeds[i] for i in unit]
-            )
-
-        def rebuild_pool(exc: BaseException) -> None:
-            # Same recovery contract as the per-seed pool: a broken pool
-            # loses every unsettled future, so rebuild and resubmit all
-            # unsettled units, one attempt each.
+        def rebuild_pool(exc: BaseException) -> range:
+            # A worker died hard (OOM kill, segfault): the pool is
+            # unusable and *every* unsettled future is lost, not just the
+            # one we were waiting on. Rebuild and hand back every
+            # unsettled unit for resubmission (one attempt each) --
+            # capped separately from per-unit retries so retries=0
+            # batches survive.
             nonlocal pool, rebuilds
             rebuilds += 1
             metrics.inc("runner_pool_rebuilds_total")
@@ -817,9 +547,7 @@ class TrialRunner:
                     f"worker pool broke {rebuilds} times (limit "
                     f"{self.pool_rebuilds}); giving up on the batch"
                 ) from exc
-            pending = [
-                ui for ui in futures if results[units[ui][0]] is _UNSET
-            ]
+            pending = range(settling, len(units))
             _log.warning(
                 "worker pool broke (%r); rebuilding (%d/%d) and "
                 "resubmitting %d unsettled unit(s)",
@@ -830,71 +558,96 @@ class TrialRunner:
             )
             pool.shutdown(wait=False, cancel_futures=True)
             pool = make_pool()
-            for ui in pending:
-                attempts[ui] += 1
-                futures[ui] = submit_unit(units[ui])
+            return pending
 
+        def run_inline(ui: int):
+            unit = units[ui]
+            attempts[ui] += 1
+            t_unit = time.perf_counter() if observe else 0.0
+            with prof.span("runner.trial"):
+                out = unit_fn([seeds[i] for i in unit])
+            if observe:
+                # One observation per trial; the value is its share of the
+                # unit's wall time.
+                share = (time.perf_counter() - t_unit) / len(unit)
+                for _ in unit:
+                    metrics.observe("runner_trial_seconds", share, mode=mode)
+            return out
+
+        if pooled:
+            metrics.gauge("runner_pool_jobs", self.jobs)
+            pool = make_pool()
         try:
-            futures = {ui: submit_unit(u) for ui, u in enumerate(units)}
-            attempts = {ui: 1 for ui in futures}
-            # Settle units in index order, like the per-seed pool.
+            if pooled:
+                submit(range(len(units)))
             for ui, unit in enumerate(units):
+                settling = ui
                 while True:
                     try:
-                        out = futures[ui].result(timeout=self.timeout)
+                        out = (
+                            futures[ui].result(timeout=self.timeout)
+                            if pooled
+                            else run_inline(ui)
+                        )
                         break
-                    except BrokenProcessPool as exc:
-                        rebuild_pool(exc)  # raises TrialError past the cap
-                    except FutureTimeout as exc:
-                        futures[ui].cancel()
-                        metrics.inc("runner_timeouts_total")
-                        if attempts[ui] > self.retries:
-                            metrics.inc(
-                                "runner_trials_failed_total", mode="pool"
-                            )
-                            self._report(
-                                unit[0], seeds[unit[0]], attempts[ui],
-                                done, total, t0, error=repr(exc),
-                            )
-                            raise TrialError(
-                                f"trial unit {unit[0]}..{unit[-1]} "
-                                f"({len(unit)} seed(s)) timed out after "
-                                f"{attempts[ui]} attempt(s)"
-                            ) from exc
-                        attempts[ui] += 1
-                        metrics.inc("runner_retries_total", mode="pool")
-                        futures[ui] = submit_unit(unit)
                     except Exception as exc:
+                        # Only a pool's own errors get pool handling; the
+                        # same exception raised inline is a trial failure.
+                        if pooled and isinstance(exc, BrokenProcessPool):
+                            submit(rebuild_pool(exc))
+                            continue
+                        timed_out = pooled and isinstance(exc, FutureTimeout)
+                        if timed_out:
+                            futures[ui].cancel()
+                            metrics.inc("runner_timeouts_total")
                         if attempts[ui] > self.retries:
-                            metrics.inc(
-                                "runner_trials_failed_total", mode="pool"
+                            self._fail(
+                                exc, timed_out, unit, seeds, attempts[ui],
+                                done, t0, metrics, mode,
                             )
-                            self._report(
-                                unit[0], seeds[unit[0]], attempts[ui],
-                                done, total, t0, error=str(exc),
-                            )
-                            raise TrialError(
-                                f"trial unit {unit[0]}..{unit[-1]} "
-                                f"({len(unit)} seed(s)) failed after "
-                                f"{attempts[ui]} attempt(s): {exc}"
-                            ) from exc
-                        attempts[ui] += 1
-                        metrics.inc("runner_retries_total", mode="pool")
-                        futures[ui] = submit_unit(unit)
+                        metrics.inc("runner_retries_total", mode=mode)
+                        if pooled:
+                            submit([ui])
                 out = _batch_results(out, unit)
-                executed += len(unit)
-                done = self._settle_unit(
-                    unit, out, results, seeds, attempts[ui], done, total,
-                    t0, metrics, ckpt,
-                )
+                for i, r in zip(unit, out):
+                    results[i] = r
+                if ckpt is not None:
+                    ckpt.record_many(unit, out)
+                    metrics.inc("runner_checkpoint_writes_total")
+                for i in unit:
+                    done += 1
+                    self._report(i, seeds[i], attempts[ui], done, total, t0)
         except BaseException:
-            pool.shutdown(wait=False, cancel_futures=True)
+            if pooled:
+                pool.shutdown(wait=False, cancel_futures=True)
             raise
-        else:
+        if pooled:
             pool.shutdown(wait=True)
-        metrics.inc("runner_trials_total", executed, mode="pool")
-        if metrics.enabled:
+        metrics.inc(
+            "runner_trials_total", sum(map(len, units)), mode=mode
+        )
+        if observe:
             metrics.observe(
-                "runner_batch_seconds", time.perf_counter() - t0, mode="pool"
+                "runner_batch_seconds", time.perf_counter() - t0, mode=mode
             )
-        return results
+
+    def _fail(
+        self, exc, timed_out, unit, seeds, attempts, done, t0, metrics, mode
+    ) -> NoReturn:
+        """Report a unit that exhausted its retries and raise TrialError."""
+        metrics.inc("runner_trials_failed_total", mode=mode)
+        self._report(
+            unit[0], seeds[unit[0]], attempts, done, len(seeds), t0,
+            error=repr(exc) if timed_out else str(exc),
+        )
+        if self.batch_size is None:
+            what = f"trial {unit[0]} (seed {seeds[unit[0]]})"
+        else:
+            what = f"trial unit {unit[0]}..{unit[-1]} ({len(unit)} seed(s))"
+        if timed_out:
+            raise TrialError(
+                f"{what} timed out after {attempts} attempt(s)"
+            ) from exc
+        raise TrialError(
+            f"{what} failed after {attempts} attempt(s): {exc}"
+        ) from exc

@@ -90,16 +90,16 @@ def execute_shard(
 
     Returns the JSON-ready result payload; does *not* publish it (the
     caller decides, because chaos may drop or delay publication). The
-    shard's seeds run in slices of up to
-    :data:`~repro.runners.protocol_trials.LOCKSTEP_SLICE`, and each
+    shard's seeds run in slices of
+    :func:`~repro.runners.protocol_trials.lockstep_width` seeds, and each
     settled slice is written to the per-shard checkpoint under
     ``checkpoints/``, so re-execution after a kill resumes from the last
     settled slice instead of starting over.
     """
     from repro.runners import TrialRunner
     from repro.runners.protocol_trials import (
-        LOCKSTEP_SLICE,
         fault_label,
+        lockstep_width,
         protocol_trial_batch,
     )
 
@@ -123,7 +123,7 @@ def execute_shard(
         jobs=1,
         progress=progress,
         checkpoint=ckpt,
-        batch_size=max(1, min(LOCKSTEP_SLICE, len(shard.seeds))),
+        batch_size=lockstep_width(len(shard.seeds)),
     )
     results = runner.run_seeds(list(shard.seeds))
 

@@ -9,7 +9,7 @@ from repro.experiments.workloads import mesh_random_function
 from repro.faults.models import TransientLinkFaults
 from repro.optics.coupler import CollisionRule
 from repro.runners import protocol_trial, route_collection_trials, spawn_seeds
-from repro.runners.protocol_trials import LOCKSTEP_SLICE
+from repro.runners.protocol_trials import LOCKSTEP_SLICE, lockstep_width
 
 
 def _fingerprint(result):
@@ -181,6 +181,14 @@ class TestLockstepSlices:
             protocol_trial(s, collection, config)
             for s in spawn_seeds(5, self.TRIALS)
         ]
+
+    def test_width_rule(self):
+        # Shared by route_collection_trials and sweep shards (jobs=1).
+        assert lockstep_width(self.TRIALS) == LOCKSTEP_SLICE
+        assert lockstep_width(self.TRIALS, jobs=2) == 10
+        assert lockstep_width(7, jobs=2) == 4
+        assert lockstep_width(3, jobs=4) == 1
+        assert lockstep_width(self.TRIALS, jobs=2, timeout=5.0) == 1
 
     def test_timeout_runs_one_seed_slices(self, collection, lockstep_calls):
         route_collection_trials(

@@ -1,10 +1,14 @@
 """Unit tests for the TrialRunner execution substrate."""
 
 import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+import repro.runners.trial as trial_module
 from repro.errors import TrialError
+from repro.observability import MetricsRegistry
 from repro.runners import TrialProgress, TrialRunner, spawn_seeds
 
 _FAIL_UNTIL = {}
@@ -15,14 +19,34 @@ def _double(seed):
     return seed * 2
 
 
+def _double_batch(seeds):
+    return [seed * 2 for seed in seeds]
+
+
 def _sleepy(seed):
     """Picklable trial that outlives any reasonable per-trial timeout."""
     time.sleep(2.0)
     return seed
 
 
+def _sleepy_batch(seeds):
+    time.sleep(2.0)
+    return list(seeds)
+
+
+def _sleepy_odd(seed):
+    """Instant for even seeds, outlives the timeout for odd ones."""
+    if seed % 2:
+        time.sleep(2.0)
+    return seed
+
+
 def _always_raises(seed):
     raise RuntimeError(f"boom for {seed}")
+
+
+def _always_raises_batch(seeds):
+    raise RuntimeError(f"boom for {seeds}")
 
 
 def _flaky(seed):
@@ -31,6 +55,20 @@ def _flaky(seed):
         _FAIL_UNTIL[seed] = _FAIL_UNTIL.get(seed, 0) + 1
         raise RuntimeError("transient")
     return seed
+
+
+def _flaky_batch(seeds):
+    """Fails once per seed slice, then succeeds (serial retry path only)."""
+    key = tuple(seeds)
+    if _FAIL_UNTIL.get(key, 0) < 1:
+        _FAIL_UNTIL[key] = _FAIL_UNTIL.get(key, 0) + 1
+        raise RuntimeError("transient")
+    return list(seeds)
+
+
+def _shapes(per_seed, batch):
+    """Both callable shapes as ``(fn, batch_size)``: per seed, and slices of 2."""
+    return [(per_seed, None), (batch, 2)]
 
 
 class TestSpawnSeeds:
@@ -91,8 +129,6 @@ class TestFallbacks:
         assert "jobs=4" in record.getMessage()
 
     def test_fallback_counted_in_metrics(self):
-        from repro.observability import MetricsRegistry
-
         reg = MetricsRegistry()
         fn = lambda s: s  # noqa: E731 - deliberately unpicklable
         TrialRunner(fn, jobs=4, metrics=reg).run(2, seed=0)
@@ -102,22 +138,94 @@ class TestFallbacks:
 
 class TestFailureHandling:
     def test_serial_retry_then_success(self):
-        _FAIL_UNTIL.clear()
-        out = TrialRunner(_flaky, retries=1).run(3, seed=5)
-        assert out == spawn_seeds(5, 3)
+        for fn, batch_size in _shapes(_flaky, _flaky_batch):
+            _FAIL_UNTIL.clear()
+            reg = MetricsRegistry()
+            out = TrialRunner(
+                fn, retries=1, metrics=reg, batch_size=batch_size
+            ).run(3, seed=5)
+            assert out == spawn_seeds(5, 3)
+            # One retry per unit: three seeds, or two slices.
+            units = 3 if batch_size is None else 2
+            assert reg.value("runner_retries_total", mode="serial") == units
 
     def test_serial_exhausted_retries_raise(self):
         with pytest.raises(TrialError, match="failed after 2 attempt"):
             TrialRunner(_always_raises, retries=1).run(2, seed=0)
 
     def test_pool_exception_raises_trial_error(self):
-        with pytest.raises(TrialError, match="failed after 1 attempt"):
-            TrialRunner(_always_raises, jobs=2).run(2, seed=0)
+        for fn, batch_size in _shapes(_always_raises, _always_raises_batch):
+            with pytest.raises(TrialError, match="failed after 1 attempt"):
+                TrialRunner(fn, jobs=2, batch_size=batch_size).run(4, seed=0)
+            reg = MetricsRegistry()
+            with pytest.raises(TrialError, match="failed after 2 attempt"):
+                TrialRunner(
+                    fn, jobs=2, retries=1, metrics=reg, batch_size=batch_size
+                ).run(4, seed=0)
+            assert reg.value("runner_retries_total", mode="pool") == 1
+            assert reg.value("runner_trials_failed_total", mode="pool") == 1
 
     def test_pool_timeout_raises_trial_error(self):
-        runner = TrialRunner(_sleepy, jobs=2, timeout=0.2)
+        for fn, batch_size in _shapes(_sleepy, _sleepy_batch):
+            runner = TrialRunner(
+                fn, jobs=2, timeout=0.2, batch_size=batch_size
+            )
+            with pytest.raises(TrialError, match="timed out"):
+                runner.run(4, seed=0)
+
+    def test_pool_timeout_enforced_for_a_single_unit(self, tmp_path):
+        # One unit left must still go to the pool when a timeout is set:
+        # a fresh one-trial batch, one slice, and a resume with one
+        # trial remaining all time out instead of sleeping through.
+        for fn, seeds, batch_size in (
+            (_sleepy, [7], None),
+            (_sleepy_batch, [7, 9], 2),
+        ):
+            t0 = time.perf_counter()
+            with pytest.raises(TrialError, match="timed out"):
+                TrialRunner(
+                    fn, jobs=2, timeout=0.2, batch_size=batch_size
+                ).run_seeds(seeds)
+            assert time.perf_counter() - t0 < 1.5
+
+        ckpt = tmp_path / "batch.json"
+        seeds = [2, 4, 7]
         with pytest.raises(TrialError, match="timed out"):
-            runner.run(2, seed=0)
+            TrialRunner(
+                _sleepy_odd, jobs=2, timeout=0.2, checkpoint=ckpt
+            ).run_seeds(seeds)
+        reg = MetricsRegistry()
+        t0 = time.perf_counter()
+        with pytest.raises(TrialError, match="timed out"):
+            TrialRunner(
+                _sleepy_odd, jobs=2, timeout=0.2, checkpoint=ckpt, metrics=reg
+            ).run_seeds(seeds)
+        assert time.perf_counter() - t0 < 1.5
+        assert reg.value("runner_checkpoint_loaded_total") == 2
+        assert not reg.value("runner_timeout_unenforced_total")
+
+    def test_broken_pool_on_submit_is_rebuilt(self, monkeypatch):
+        for fn, batch_size in _shapes(_double, _double_batch):
+            submits = []
+
+            class BreaksOnFirstSubmit(ProcessPoolExecutor):
+                def submit(self, *args, **kwargs):
+                    submits.append(args)
+                    if len(submits) == 1:
+                        raise BrokenProcessPool("worker died during submit")
+                    return super().submit(*args, **kwargs)
+
+            monkeypatch.setattr(
+                trial_module, "ProcessPoolExecutor", BreaksOnFirstSubmit
+            )
+            reg = MetricsRegistry()
+            seeds = spawn_seeds(4, 5)
+            out = TrialRunner(
+                fn, jobs=2, metrics=reg, batch_size=batch_size
+            ).run_seeds(seeds)
+            assert out == [s * 2 for s in seeds]
+            assert reg.value("runner_pool_rebuilds_total") == 1
+            assert reg.value("runner_trials_total", mode="pool") == 5
 
 
 class TestProgress:
@@ -149,8 +257,6 @@ class TestPoolRebuildCap:
 
 class TestSerialTimeoutWarning:
     def test_serial_timeout_warns_and_counts(self, caplog):
-        from repro.observability import MetricsRegistry
-
         reg = MetricsRegistry()
         with caplog.at_level("WARNING", logger="repro.runners.trial"):
             out = TrialRunner(
@@ -164,8 +270,6 @@ class TestSerialTimeoutWarning:
         assert reg.value("runner_timeout_unenforced_total") == 1
 
     def test_no_timeout_no_warning(self, caplog):
-        from repro.observability import MetricsRegistry
-
         reg = MetricsRegistry()
         with caplog.at_level("WARNING", logger="repro.runners.trial"):
             TrialRunner(_double, metrics=reg).run_seeds([1, 2])

@@ -9,6 +9,8 @@ batch-specific failure modes (a fn returning the wrong shape, a unit
 failing after retries).
 """
 
+import json
+
 import pytest
 
 from repro.errors import TrialError
@@ -109,17 +111,26 @@ class TestCheckpointing:
         # a resume may re-slice, so the final journal must be a pure
         # function of (fn, seeds, results) -- same bytes for any jobs
         # and any slice width.
-        paths = []
-        for name, jobs, batch_size in (
-            ("a.json", 1, 3), ("b.json", 1, 2), ("c.json", 2, 4)
+        # The per-seed shape obeys the same rule for any jobs; its
+        # journal differs from the batch one only in the context digest
+        # (another trial function), never in the completed trials.
+        journals = {}
+        for fn, jobs, batch_size in (
+            (_double_batch, 1, 3), (_double_batch, 1, 2),
+            (_double_batch, 2, 4), (_double, 1, None), (_double, 2, None),
         ):
-            path = tmp_path / name
+            path = tmp_path / f"{fn.__name__}-{jobs}-{batch_size}.json"
             TrialRunner(
-                _double_batch, jobs=jobs, batch_size=batch_size,
-                checkpoint=path,
+                fn, jobs=jobs, batch_size=batch_size, checkpoint=path,
             ).run(7, seed=3)
-            paths.append(path.read_bytes())
-        assert paths[0] == paths[1] == paths[2]
+            journals.setdefault(fn, []).append(path.read_bytes())
+        batch, per_seed = journals[_double_batch], journals[_double]
+        assert batch[0] == batch[1] == batch[2]
+        assert per_seed[0] == per_seed[1]
+        assert (
+            json.loads(batch[0])["completed"]
+            == json.loads(per_seed[0])["completed"]
+        )
 
     def test_resume_skips_completed_and_reslices(self, tmp_path):
         ckpt = tmp_path / "c.json"
