@@ -21,13 +21,15 @@ gap.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from repro.core.protocol import ProtocolConfig, TrialAndFailureProtocol
 from repro.core.records import ProtocolResult
 from repro.optics.coupler import CollisionRule
 from repro.paths.collection import PathCollection
-from repro.worms.worm import Launch
+from repro.worms.worm import LaunchColumns
 
 __all__ = ["ConversionProtocol", "route_with_conversion"]
 
@@ -35,25 +37,17 @@ __all__ = ["ConversionProtocol", "route_with_conversion"]
 class ConversionProtocol(TrialAndFailureProtocol):
     """The trial-and-failure loop with per-hop channel re-randomisation."""
 
-    def _draw_launches(self, active, delta, rng: np.random.Generator) -> list[Launch]:
+    def _draw_launches(
+        self, active, delta, rng: np.random.Generator
+    ) -> LaunchColumns:
         base = super()._draw_launches(active, delta, rng)
         worms = self.engine.worms
-        out: list[Launch] = []
-        for launch in base:
-            n_links = worms[launch.worm].n_links
-            per_link = tuple(
-                int(w)
-                for w in rng.integers(0, self.config.bandwidth, size=n_links)
-            )
-            out.append(
-                Launch(
-                    worm=launch.worm,
-                    delay=launch.delay,
-                    wavelength=per_link,
-                    priority=launch.priority,
-                )
-            )
-        return out
+        bandwidth = self.config.bandwidth
+        per_link = {
+            i: tuple(rng.integers(0, bandwidth, size=worms[uid].n_links).tolist())
+            for i, uid in enumerate(active)
+        }
+        return dataclasses.replace(base, per_link=per_link)
 
 
 def route_with_conversion(

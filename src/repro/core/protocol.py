@@ -53,6 +53,7 @@ from repro.core.records import (
     DIAG_ACK_LOST,
     DIAG_CONTENTION,
     DIAG_STRANDED,
+    OutcomeColumns,
     ProtocolResult,
     RepairEvent,
     RoundRecord,
@@ -67,7 +68,7 @@ from repro.observability.metrics import MetricsRegistry, get_metrics
 from repro.observability.spans import get_profiler
 from repro.optics.coupler import CollisionRule, TieRule
 from repro.paths.collection import ActiveCongestion, PathCollection
-from repro.worms.worm import FailureKind, Launch, Worm, make_worms
+from repro.worms.worm import LaunchColumns, Worm, make_worms
 from repro.worms.ack import ack_worms
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -86,12 +87,6 @@ _ACK_MODES = ("ideal", "simulated")
 _REPAIR_MODES = ("none", "reroute")
 
 _log = get_logger("core.protocol")
-
-# Enum member lookups are slow; the per-round failure tally uses these.
-_ELIMINATED = FailureKind.ELIMINATED
-_TRUNCATED = FailureKind.TRUNCATED
-_FAULTED = FailureKind.FAULTED
-
 
 @dataclass(frozen=True)
 class ProtocolConfig:
@@ -376,53 +371,51 @@ class TrialAndFailureProtocol:
 
     def _draw_launches(
         self, active: list[int], delta: int, rng: np.random.Generator
-    ) -> list[Launch]:
+    ) -> LaunchColumns:
+        """The round's launches as columns, drawn in the documented order.
+
+        Delays, then wavelengths, then (priority rule) priorities, one
+        array draw each -- row ``i`` is worm ``active[i]``.
+        """
         k = len(active)
         delays = rng.integers(0, delta, size=k)
         wavelengths = rng.integers(0, self.config.bandwidth, size=k)
+        uids = np.array(active, dtype=np.int64)
         if self.config.rule is CollisionRule.PRIORITY:
             mode = self.config.priority_mode
             if mode == "random":
                 priorities = rng.permutation(k)
             elif mode == "uid":
-                priorities = np.array(active)
+                priorities = uids
             else:  # reverse_uid
-                priorities = -np.array(active)
+                priorities = -uids
         else:
             priorities = np.zeros(k, dtype=np.int64)
-        return [
-            Launch(
-                worm=uid,
-                delay=int(delays[i]),
-                wavelength=int(wavelengths[i]),
-                priority=int(priorities[i]),
-            )
-            for i, uid in enumerate(active)
-        ]
+        return LaunchColumns(uids, delays, wavelengths, priorities)
 
     def _route_acks(
-        self, delivered: list[int], fwd_outcomes, rng: np.random.Generator
+        self, delivered: np.ndarray, completions: np.ndarray,
+        rng: np.random.Generator,
     ) -> tuple[set[int], int]:
         """Simulated acks: returns (acked uids, ack makespan).
 
         Each ack worm carries its forward worm's uid on the dedicated
-        ack engine.
+        ack engine and starts the step after its forward worm's
+        completion (``completions``, aligned with ``delivered``).
         """
         assert self._ack_engine is not None
-        if not delivered:
+        k = delivered.shape[0]
+        if not k:
             return set(), 0
-        launches = []
-        ranks = rng.permutation(len(delivered))
-        for i, uid in enumerate(delivered):
-            completion = fwd_outcomes[uid].completion_time
-            launches.append(
-                Launch(
-                    worm=uid,
-                    delay=completion + 1,
-                    wavelength=int(rng.integers(0, self.config.bandwidth)),
-                    priority=int(ranks[i]),
-                )
-            )
+        ranks = rng.permutation(k)
+        bandwidth = self.config.bandwidth
+        wavelengths = [int(rng.integers(0, bandwidth)) for _ in range(k)]
+        launches = LaunchColumns(
+            delivered,
+            completions + 1,
+            np.array(wavelengths, dtype=np.int64),
+            ranks,
+        )
         result = self._ack_engine.run_round(launches, collect_collisions=False)
         return set(result.delivered), (result.makespan or 0)
 
@@ -693,7 +686,9 @@ class TrialAndFailureProtocol:
             )
         )
 
-    def _prepare_round(self, st: _TrialState) -> tuple[list[Launch], "list | None"]:
+    def _prepare_round(
+        self, st: _TrialState
+    ) -> tuple[LaunchColumns, "list | None"]:
         """Advance to the next round and draw its launches and faults.
 
         Measures the active worms' congestion for the schedule first. The
@@ -744,7 +739,10 @@ class TrialAndFailureProtocol:
         if cfg.collect_collisions:
             st.collisions_per_round.append(result.collisions)
 
-        delivered = result.delivered
+        outcome = result.columns
+        is_delivered = outcome.kind == OutcomeColumns.DELIVERED
+        delivered_uids = outcome.worm[is_delivered]
+        delivered = delivered_uids.tolist()
         st.duplicates += len(st.delivered_ever.intersection(delivered))
         st.delivered_ever.update(delivered)
 
@@ -754,7 +752,7 @@ class TrialAndFailureProtocol:
         else:
             t_ack = time.perf_counter() if observe else 0.0
             acked, ack_span = self._route_acks(
-                delivered, result.outcomes, st.round_rng
+                delivered_uids, outcome.completion[is_delivered], st.round_rng
             )
             if observe:
                 metrics.observe(
@@ -779,17 +777,7 @@ class TrialAndFailureProtocol:
             st.delivered_round.setdefault(uid, t)
         st.active = [uid for uid in st.active if uid not in acked]
 
-        eliminated = truncated = faulted = 0
-        for o in result.outcomes.values():
-            kind = o.failure
-            if kind is None:
-                continue
-            if kind is _ELIMINATED:
-                eliminated += 1
-            elif kind is _TRUNCATED:
-                truncated += 1
-            elif kind is _FAULTED:
-                faulted += 1
+        _, eliminated, truncated, faulted = outcome.counts()
         duration = st.delta + 2 * st.dl
         observed = max(result.makespan or 0, ack_span) + 1
         st.total_time += duration
@@ -797,7 +785,7 @@ class TrialAndFailureProtocol:
         record = RoundRecord(
             index=t,
             delay_range=st.delta,
-            active_before=len(result.outcomes),
+            active_before=len(outcome),
             delivered=len(delivered),
             eliminated=eliminated,
             truncated=truncated,

@@ -5,11 +5,14 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from repro.worms.worm import WormOutcome
+import numpy as np
+
+from repro.worms.worm import FailureKind, WormOutcome
 
 __all__ = [
     "CollisionKind",
     "CollisionEvent",
+    "OutcomeColumns",
     "RoundResult",
     "RoundRecord",
     "RepairEvent",
@@ -54,7 +57,69 @@ class CollisionEvent:
     kind: CollisionKind
 
 
-@dataclass(frozen=True)
+class OutcomeColumns:
+    """A round's per-worm outcomes as parallel arrays, in launch order.
+
+    ``kind`` holds one of the codes below per worm; ``flits`` the
+    delivered flit count; ``failed_at`` the path position of a head cut
+    (-1 when the head was not cut); ``completion`` the step the last
+    delivered flit arrived (-1 when none did). ``blockers`` maps a row
+    to its blocker tuple, for the rows that have one. :meth:`outcomes`
+    builds the equivalent :class:`WormOutcome` dict.
+    """
+
+    DELIVERED, ELIMINATED, TRUNCATED, FAULTED = 0, 1, 2, 3
+
+    __slots__ = ("worm", "kind", "flits", "failed_at", "completion", "blockers")
+
+    def __init__(self, worm, kind, flits, failed_at, completion, blockers):
+        self.worm = worm
+        self.kind = kind
+        self.flits = flits
+        self.failed_at = failed_at
+        self.completion = completion
+        self.blockers = blockers
+
+    def __len__(self) -> int:
+        return self.worm.shape[0]
+
+    def counts(self) -> list[int]:
+        """Worms per kind code: [delivered, eliminated, truncated, faulted]."""
+        return np.bincount(self.kind, minlength=4).tolist()
+
+    def delivered(self) -> list[int]:
+        """Uids delivered completely, in launch order."""
+        return self.worm[self.kind == self.DELIVERED].tolist()
+
+    def outcomes(self) -> dict[int, WormOutcome]:
+        """The per-worm :class:`WormOutcome` dict, in launch order."""
+        failures = (
+            None, FailureKind.ELIMINATED, FailureKind.TRUNCATED,
+            FailureKind.FAULTED,
+        )
+        blockers = self.blockers
+        out: dict[int, WormOutcome] = {}
+        for i, (uid, kind, flits, at, done) in enumerate(
+            zip(
+                self.worm.tolist(),
+                self.kind.tolist(),
+                self.flits.tolist(),
+                self.failed_at.tolist(),
+                self.completion.tolist(),
+            )
+        ):
+            out[uid] = WormOutcome(
+                worm=uid,
+                delivered=kind == 0,
+                delivered_flits=flits,
+                failure=failures[kind],
+                failed_at_link=None if at < 0 else at,
+                completion_time=None if done < 0 else done,
+                blockers=blockers.get(i, ()),
+            )
+        return out
+
+
 class RoundResult:
     """Engine output for one forward pass of launched worms.
 
@@ -68,16 +133,65 @@ class RoundResult:
     ``faulted_links`` lists the dead directed links that actually ate a
     head this round (each once, in event order) -- the evidence stream
     the protocol's link-health monitor accumulates.
+
+    The engine hands its outcomes over as :class:`OutcomeColumns`
+    (``columns``); the ``outcomes`` dict is then built the first time it
+    is read, so callers that only count or read the columns never pay
+    for per-worm objects. A result built from an outcome dict instead
+    (the reference simulator, tests) has ``columns`` None.
     """
 
-    outcomes: dict[int, WormOutcome]
-    collisions: tuple[CollisionEvent, ...]
-    makespan: int | None
-    faulted_links: tuple[tuple, ...] = field(default_factory=tuple)
+    __slots__ = ("_outcomes", "columns", "collisions", "makespan",
+                 "faulted_links")
+
+    def __init__(
+        self,
+        outcomes: dict[int, WormOutcome] | None = None,
+        collisions: tuple[CollisionEvent, ...] = (),
+        makespan: int | None = None,
+        faulted_links: tuple[tuple, ...] = (),
+        *,
+        columns: OutcomeColumns | None = None,
+    ) -> None:
+        if (outcomes is None) == (columns is None):
+            raise ValueError("give exactly one of outcomes and columns")
+        self._outcomes = outcomes
+        self.columns = columns
+        self.collisions = collisions
+        self.makespan = makespan
+        self.faulted_links = faulted_links
+
+    @property
+    def outcomes(self) -> dict[int, WormOutcome]:
+        """Per-worm outcomes by uid, in launch order (built on first read)."""
+        if self._outcomes is None:
+            self._outcomes = self.columns.outcomes()
+        return self._outcomes
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RoundResult):
+            return NotImplemented
+        return (
+            self.outcomes == other.outcomes
+            and self.collisions == other.collisions
+            and self.makespan == other.makespan
+            and self.faulted_links == other.faulted_links
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (
+            f"RoundResult(outcomes={self.outcomes!r}, "
+            f"collisions={self.collisions!r}, makespan={self.makespan!r}, "
+            f"faulted_links={self.faulted_links!r})"
+        )
 
     @property
     def delivered(self) -> list[int]:
         """Uids delivered completely this round."""
+        if self.columns is not None:
+            return self.columns.delivered()
         return [uid for uid, o in self.outcomes.items() if o.delivered]
 
     @property
@@ -88,12 +202,13 @@ class RoundResult:
     @property
     def n_delivered(self) -> int:
         """Number of complete deliveries."""
-        return sum(1 for o in self.outcomes.values() if o.delivered)
+        return len(self.delivered)
 
     @property
     def n_failed(self) -> int:
         """Number of failures."""
-        return len(self.outcomes) - self.n_delivered
+        rows = self.columns if self.columns is not None else self._outcomes
+        return len(rows) - self.n_delivered
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ Cypher-et-al.-style full-conversion regime.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Collection, Hashable
 
 import numpy as np
@@ -25,7 +26,7 @@ from repro.core.records import ProtocolResult
 from repro.errors import ProtocolError
 from repro.optics.coupler import CollisionRule
 from repro.paths.collection import PathCollection
-from repro.worms.worm import Launch
+from repro.worms.worm import LaunchColumns
 
 __all__ = [
     "SparseConversionProtocol",
@@ -88,31 +89,25 @@ class SparseConversionProtocol(TrialAndFailureProtocol):
                     starts.append(i)
             self._segment_starts[worm.uid] = starts
 
-    def _draw_launches(self, active, delta, rng: np.random.Generator) -> list[Launch]:
+    def _draw_launches(
+        self, active, delta, rng: np.random.Generator
+    ) -> LaunchColumns:
         base = super()._draw_launches(active, delta, rng)
         worms = self.engine.worms
-        out: list[Launch] = []
         B = self.config.bandwidth
-        for launch in base:
-            starts = self._segment_starts[launch.worm]
+        per_link: dict[int, tuple[int, ...]] = {}
+        for i, uid in enumerate(active):
+            starts = self._segment_starts[uid]
             if len(starts) == 1:
-                out.append(launch)  # no converter on this path
-                continue
-            n_links = worms[launch.worm].n_links
+                continue  # no converter on this path
+            n_links = worms[uid].n_links
             seg_channels = rng.integers(0, B, size=len(starts))
-            per_link = np.empty(n_links, dtype=np.int64)
+            channels = np.empty(n_links, dtype=np.int64)
             bounds = starts + [n_links]
             for k in range(len(starts)):
-                per_link[bounds[k] : bounds[k + 1]] = seg_channels[k]
-            out.append(
-                Launch(
-                    worm=launch.worm,
-                    delay=launch.delay,
-                    wavelength=tuple(int(w) for w in per_link),
-                    priority=launch.priority,
-                )
-            )
-        return out
+                channels[bounds[k] : bounds[k + 1]] = seg_channels[k]
+            per_link[i] = tuple(channels.tolist())
+        return dataclasses.replace(base, per_link=per_link)
 
 
 def route_with_sparse_conversion(

@@ -150,7 +150,10 @@ class ReplayedRound:
 
 
 def _finalise(worms: dict[int, _ReplayWorm]) -> tuple[dict[int, WormOutcome], int | None]:
-    """Mirror of the engine's ``_finalise`` over replay state."""
+    """The engine's outcome and makespan rules over replay state.
+
+    Mirrors ``repro.core.engine._settle``.
+    """
     outcomes: dict[int, WormOutcome] = {}
     makespan: int | None = None
     for state in worms.values():
@@ -238,15 +241,18 @@ def replay_rounds(source, trial: int | None = None) -> list[ReplayedRound]:
             )
         elif kind == "worm_truncate":
             state = worms[int(r["worm"])]
+            # A cut caps every occupation from its link on, even when an
+            # earlier cut further downstream already left a shorter
+            # fragment: the links between the two cuts still held the
+            # longer one.
             cut = int(r["cut"])
-            if cut < state.cut_len:
-                state.cut_len = cut
-                cut_pos = int(r["pos"])
-                for occ in state.occupations:
-                    if occ.pos >= cut_pos:
-                        cap = occ.entry + cut - 1
-                        if cap < occ.end:
-                            occ.end = cap
+            state.cut_len = min(state.cut_len, cut)
+            cut_pos = int(r["pos"])
+            for occ in state.occupations:
+                if occ.pos >= cut_pos:
+                    cap = occ.entry + cut - 1
+                    if cap < occ.end:
+                        occ.end = cap
             state.blockers.append(int(r["blocker"]))
             group.setdefault("conflicts", []).append(r)
         elif kind == "worm_eliminate":

@@ -4,9 +4,18 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
-__all__ = ["Worm", "Launch", "WormOutcome", "FailureKind", "make_worms"]
+import numpy as np
+
+__all__ = [
+    "Worm",
+    "Launch",
+    "LaunchColumns",
+    "WormOutcome",
+    "FailureKind",
+    "make_worms",
+]
 
 
 class FailureKind(enum.Enum):
@@ -100,6 +109,64 @@ class Launch:
         if isinstance(self.wavelength, tuple):
             return self.wavelength[pos]
         return self.wavelength
+
+
+@dataclass(frozen=True, eq=False)
+class LaunchColumns:
+    """One round's launches as parallel int64 columns, row ``i`` per worm.
+
+    The round kernel's native input: the protocol draws a round's
+    randomness straight into these arrays, and a sequence of
+    :class:`Launch` objects is adapted with :meth:`from_launches`. Rows
+    listed in ``per_link`` carry a per-link channel tuple (conversion-
+    capable routers); their ``wavelength`` entry is ignored.
+    Unlike :class:`Launch`, nothing is validated here: the engine checks
+    the columns against its worms when it runs the round.
+    """
+
+    worm: np.ndarray
+    delay: np.ndarray
+    wavelength: np.ndarray
+    priority: np.ndarray
+    per_link: dict[int, tuple[int, ...]] = field(default_factory=dict)
+
+    @classmethod
+    def from_launches(cls, launches) -> "LaunchColumns":
+        """Columns of launch-shaped objects (``worm``, ``delay``, ...)."""
+        worms, delays, wavelengths, priorities = [], [], [], []
+        per_link: dict[int, tuple[int, ...]] = {}
+        for i, launch in enumerate(launches):
+            worms.append(launch.worm)
+            delays.append(launch.delay)
+            wl = launch.wavelength
+            if isinstance(wl, tuple):
+                per_link[i] = wl
+                wl = 0
+            wavelengths.append(wl)
+            priorities.append(launch.priority)
+        return cls(
+            np.array(worms, dtype=np.int64),
+            np.array(delays, dtype=np.int64),
+            np.array(wavelengths, dtype=np.int64),
+            np.array(priorities, dtype=np.int64),
+            per_link,
+        )
+
+    def __len__(self) -> int:
+        return self.worm.shape[0]
+
+    def __iter__(self) -> Iterator[Launch]:
+        """The rows as :class:`Launch` objects, in row order."""
+        per_link = self.per_link
+        for i, (uid, delay, wl, priority) in enumerate(
+            zip(
+                self.worm.tolist(),
+                self.delay.tolist(),
+                self.wavelength.tolist(),
+                self.priority.tolist(),
+            )
+        ):
+            yield Launch(uid, delay, per_link.get(i, wl), priority)
 
 
 @dataclass(frozen=True)

@@ -99,6 +99,47 @@ class TestLaunchValidationAtEngine:
         with pytest.raises(ProtocolError, match="negative wavelength"):
             play(engine, [_RawLaunch(0, delay=0, wavelength=-2)])
 
+    def test_unknown_uid_rejected(self, play):
+        engine = RoutingEngine(_chain_worms(2), CollisionRule.SERVE_FIRST)
+        launches = [Launch(worm=0, delay=0, wavelength=0),
+                    Launch(worm=7, delay=0, wavelength=0)]
+        with pytest.raises(ProtocolError,
+                           match="^launch names unknown worm uid 7$"):
+            play(engine, launches)
+
+    def test_duplicate_launch_rejected(self, play):
+        engine = RoutingEngine(_chain_worms(3), CollisionRule.SERVE_FIRST)
+        launches = [Launch(worm=i, delay=i, wavelength=0) for i in (1, 0, 1)]
+        with pytest.raises(ProtocolError, match="^worm uid 1 launched twice$"):
+            play(engine, launches)
+
+    def test_first_bad_launch_named(self, play):
+        # Validation reports the first offending launch in launch order,
+        # whichever check it fails.
+        engine = RoutingEngine(_chain_worms(3), CollisionRule.SERVE_FIRST)
+        launches = [
+            Launch(worm=0, delay=0, wavelength=0),
+            Launch(worm=0, delay=1, wavelength=0),
+            Launch(worm=9, delay=0, wavelength=0),
+        ]
+        with pytest.raises(ProtocolError, match="^worm uid 0 launched twice$"):
+            play(engine, launches)
+        launches = [
+            Launch(worm=0, delay=0, wavelength=0),
+            _RawLaunch(1, delay=-3, wavelength=0),
+            Launch(worm=0, delay=1, wavelength=0),
+        ]
+        with pytest.raises(ProtocolError,
+                           match="^worm 1: negative launch delay -3$"):
+            play(engine, launches)
+
+    def test_retired_uid_rejected(self, play):
+        engine = RoutingEngine(_chain_worms(2), CollisionRule.SERVE_FIRST)
+        engine.retire_worms([1])
+        with pytest.raises(ProtocolError,
+                           match="^launch names unknown worm uid 1$"):
+            play(engine, [Launch(worm=1, delay=0, wavelength=0)])
+
     def test_negative_per_link_wavelength_rejected(self):
         engine = RoutingEngine(_chain_worms(1), CollisionRule.SERVE_FIRST)
         with pytest.raises(ProtocolError, match="negative per-link wavelength"):

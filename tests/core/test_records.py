@@ -1,10 +1,12 @@
 """Direct tests of the result record types."""
 
+import numpy as np
 import pytest
 
 from repro.core.records import (
     CollisionEvent,
     CollisionKind,
+    OutcomeColumns,
     ProtocolResult,
     RoundRecord,
     RoundResult,
@@ -41,6 +43,40 @@ class TestRoundResult:
     def test_empty_failures(self):
         rr = RoundResult(outcomes={0: _outcome(0, True)}, collisions=(), makespan=9)
         assert rr.failed == [] and rr.n_failed == 0
+
+
+    def test_columns_build_the_same_outcomes(self):
+        # Rows: 7 delivered, 3 eliminated at link 2 by worm 7, 5
+        # truncated to 2 flits, 1 faulted at link 0.
+        cols = OutcomeColumns(
+            worm=np.array([7, 3, 5, 1]),
+            kind=np.array([0, 1, 2, 3], dtype=np.int8),
+            flits=np.array([4, 0, 2, 0]),
+            failed_at=np.array([-1, 2, -1, 0]),
+            completion=np.array([9, -1, 11, -1]),
+            blockers={1: (7,), 2: (3,)},
+        )
+        rr = RoundResult(collisions=(), makespan=12, columns=cols)
+        assert list(rr.outcomes) == [7, 3, 5, 1]
+        assert rr.outcomes == {
+            7: WormOutcome(worm=7, delivered=True, delivered_flits=4,
+                           completion_time=9),
+            3: WormOutcome(worm=3, delivered=False, delivered_flits=0,
+                           failure=FailureKind.ELIMINATED, failed_at_link=2,
+                           blockers=(7,)),
+            5: WormOutcome(worm=5, delivered=False, delivered_flits=2,
+                           failure=FailureKind.TRUNCATED, completion_time=11,
+                           blockers=(3,)),
+            1: WormOutcome(worm=1, delivered=False, delivered_flits=0,
+                           failure=FailureKind.FAULTED, failed_at_link=0),
+        }
+        assert rr.delivered == [7] and rr.n_failed == 3
+        assert cols.counts() == [1, 1, 1, 1]
+        assert rr == RoundResult(outcomes=dict(rr.outcomes), makespan=12)
+
+    def test_needs_exactly_one_form(self):
+        with pytest.raises(ValueError):
+            RoundResult(makespan=1)
 
 
 class TestRoundRecord:

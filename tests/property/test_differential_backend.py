@@ -3,8 +3,8 @@
 The engine has one round kernel with two event walks, chosen per round
 from its head-event count (``_PARTITION_MIN_EVENTS``): small rounds sort
 plain tuples and walk every group through the scalar resolver, large
-rounds partition columnar arrays first and walk only the contended
-subset. Every test here runs each instance through *both* walks by
+rounds partition columnar arrays first and walk only their clashing and
+dead-link events, settling the rest by arithmetic. Every test here runs each instance through *both* walks by
 patching the crossover to 0 (always partition) and to a huge value
 (always the tuple walk), and checks each against the brute-force
 :func:`~repro.core.reference.reference_run_round`, which shares no
@@ -95,6 +95,53 @@ def instances(draw, max_worms=5, max_len=4, max_delay=6, max_bandwidth=2,
                 priority=int(ranks[uid]),
             )
         )
+    all_links = sorted({link for w in worms for link in w.links()})
+    dead_links = draw(
+        st.lists(st.sampled_from(all_links), max_size=max_dead, unique=True)
+    )
+    return worms, launches, tuple(dead_links)
+
+
+@st.composite
+def spine_instances(draw, max_len=10, max_spine_links=8, max_crossers=6,
+                    max_dead=2):
+    """One long spine worm crossed by short worms at chosen links and times.
+
+    Every worm is on wavelength 0. Each crosser is one or two flits long. It joins the spine from a
+    private node, rides one or two spine links, and reaches its first
+    spine link while the spine is mid-transmission there, so crossers
+    clash with the spine (or with each other) while the rest of the
+    round stays free. Priorities are drawn around the spine's, so a
+    crosser outranks it, loses to it or ties with it. Under the priority
+    rule this builds repeated truncations of one occupant at different
+    links -- where cut lengths must compose per link -- and, as the
+    crossers are short, leaves the spine's drain visible in the
+    makespan. ``instances()`` (short worms, few links) almost never
+    reaches these cases.
+    """
+    L = draw(st.integers(2, max_len))
+    n_spine = draw(st.integers(3, max_spine_links))
+    n_cross = draw(st.integers(1, max_crossers))
+    spine_delay = draw(st.integers(0, 2))
+    worms = [Worm(uid=0, path=tuple(range(n_spine + 1)), length=L)]
+    launches = [Launch(worm=0, delay=spine_delay, wavelength=0, priority=2)]
+    for uid in range(1, n_cross + 1):
+        at = draw(st.integers(0, n_spine - 1))
+        span = draw(st.integers(1, min(2, n_spine - at)))
+        worms.append(Worm(
+            uid=uid,
+            path=(100 + uid,) + tuple(range(at, at + span + 1)),
+            length=draw(st.integers(1, 2)),
+        ))
+        # The crosser's link 1 is spine link ``at``: the spine's head
+        # enters it at spine_delay + at and holds it for L steps.
+        offset = draw(st.integers(1, L - 1))
+        launches.append(Launch(
+            worm=uid,
+            delay=spine_delay + at + offset - 1,
+            wavelength=0,
+            priority=draw(st.integers(1, 3)),
+        ))
     all_links = sorted({link for w in worms for link in w.links()})
     dead_links = draw(
         st.lists(st.sampled_from(all_links), max_size=max_dead, unique=True)
@@ -198,6 +245,59 @@ class TestBackendBitIdentity:
         _compare(*inst, CollisionRule.PRIORITY, TieRule.ALL_LOSE)
 
 
+class TestSpineTruncations:
+    """Long spine worms crossed at chosen links: repeated truncations."""
+
+    @given(spine_instances())
+    @settings(max_examples=200, deadline=None)
+    def test_priority(self, inst):
+        _compare(*inst, CollisionRule.PRIORITY, TieRule.ALL_LOSE)
+
+    @given(spine_instances())
+    @settings(max_examples=100, deadline=None)
+    def test_priority_lowest_id(self, inst):
+        _compare(*inst, CollisionRule.PRIORITY, TieRule.LOWEST_ID_WINS)
+
+    @given(spine_instances())
+    @settings(max_examples=100, deadline=None)
+    def test_serve_first(self, inst):
+        _compare(*inst, CollisionRule.SERVE_FIRST, TieRule.ALL_LOSE)
+
+    def test_upstream_retruncation_caps_records(self):
+        # The spine (worm 0) is cut at link 5 (at t=7, fragment 2) and
+        # then at link 1 (at t=8, fragment 7). The second cut is longer
+        # than the first, yet still caps links 1..4: worm 3 reaching
+        # link 2 at t=9 finds the spine's fragment already past, so it
+        # is delivered rather than eliminated.
+        worms = [
+            Worm(uid=0, path=(0, 1, 2, 3, 4, 5, 6, 7), length=10),
+            Worm(uid=1, path=(50, 5, 6), length=10),
+            Worm(uid=2, path=(60, 1, 2), length=10),
+            Worm(uid=3, path=(70, 2, 3), length=10),
+        ]
+        launches = [
+            Launch(worm=0, delay=0, wavelength=0, priority=1),
+            Launch(worm=1, delay=6, wavelength=0, priority=3),
+            Launch(worm=2, delay=7, wavelength=0, priority=2),
+            Launch(worm=3, delay=8, wavelength=0, priority=0),
+        ]
+        rule, tie_rule = CollisionRule.PRIORITY, TieRule.ALL_LOSE
+        _compare(worms, launches, (), rule, tie_rule)
+        for walk in WALKS:
+            with crossover(walk):
+                for run in (_round, _batch_round):
+                    result = run(worms, launches, rule, tie_rule)
+                    assert result.outcomes[3].delivered
+                    assert result.makespan == 18
+        collector = _Collector()
+        fr = FlightRecorder(collector)
+        fr.describe_worms(worms)
+        fr.begin_round(1)
+        result = _round(worms, launches, rule, tie_rule, recorder=fr)
+        fr.end_round(result.makespan)
+        assert verify_replay(collector).mismatches == ()
+
+
 class TestVectorizedVsReference:
     """The columnar partition vs the per-flit brute-force simulator."""
 
@@ -238,13 +338,13 @@ class TestCrossoverBoundary:
         ]
         assert sum(w.n_links for w in worms) == n
         walks = []
-        spy = engine_mod.RoutingEngine._apply_partition
+        spy = engine_mod.RoutingEngine._resolve_partitioned
 
         def counting(self, *args, **kwargs):
             walks.append("partition")
             return spy(self, *args, **kwargs)
 
-        monkeypatch.setattr(engine_mod.RoutingEngine, "_apply_partition",
+        monkeypatch.setattr(engine_mod.RoutingEngine, "_resolve_partitioned",
                             counting)
         for rule, tie_rule in RULES:
             for subset, walk in ((launches[:-1], None),
@@ -258,6 +358,44 @@ class TestCrossoverBoundary:
                 for forced in WALKS:
                     with crossover(forced):
                         assert _round(worms, subset, rule, tie_rule) == actual
+
+
+class TestWideKeyFallback:
+    """Rounds whose (trial, channel, time) key does not fit 63 bits."""
+
+    @given(st.lists(instances(), min_size=1, max_size=3),
+           st.integers(0, 2**4))
+    @settings(max_examples=40, deadline=None)
+    def test_huge_delays_take_lexsort(self, insts, jitter):
+        # Delays near 2**62 leave no room for the channel and trial
+        # fields, so the partition falls back to a three-key lexsort;
+        # shifting every delay by the same amount must change nothing
+        # but the times.
+        shift = 2**62 + jitter
+        rule, tie_rule = CollisionRule.PRIORITY, TieRule.ALL_LOSE
+        shifted = [
+            (worms, [Launch(worm=l.worm, delay=l.delay + shift,
+                            wavelength=l.wavelength, priority=l.priority)
+                     for l in launches], dead)
+            for worms, launches, dead in insts
+        ]
+        with crossover(TUPLE_WALK):
+            solo = [_round(*inst[:2], rule, tie_rule, inst[2])
+                    for inst in shifted]
+        calls = [
+            RoundCall(RoutingEngine(worms, rule, tie_rule), launches, True,
+                      dead or None)
+            for worms, launches, dead in shifted
+        ]
+        with crossover(PARTITION):
+            stacked = run_round_batch(calls)
+        assert stacked == solo
+        for base, big in zip(insts, solo):
+            with crossover(TUPLE_WALK):
+                plain = _round(*base[:2], rule, tie_rule, base[2])
+            assert (plain.makespan is None) == (big.makespan is None)
+            if plain.makespan is not None:
+                assert big.makespan - plain.makespan == shift
 
 
 class TestRecorderStream:

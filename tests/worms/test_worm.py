@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.worms.worm import FailureKind, Launch, Worm, WormOutcome, make_worms
+from repro.worms.worm import (
+    FailureKind,
+    Launch,
+    LaunchColumns,
+    Worm,
+    WormOutcome,
+    make_worms,
+)
 
 
 class TestWorm:
@@ -60,6 +67,23 @@ class TestLaunch:
     def test_negative_per_link_rejected(self):
         with pytest.raises(ValueError):
             Launch(worm=0, delay=0, wavelength=(0, -1))
+
+
+class TestLaunchColumns:
+    def test_round_trip_through_launches(self):
+        launches = [
+            Launch(worm=4, delay=2, wavelength=1, priority=7),
+            Launch(worm=0, delay=0, wavelength=(1, 0, 1), priority=-3),
+        ]
+        cols = LaunchColumns.from_launches(launches)
+        assert len(cols) == 2
+        assert cols.worm.tolist() == [4, 0]
+        assert cols.per_link == {1: (1, 0, 1)}
+        assert list(cols) == launches
+
+    def test_empty(self):
+        cols = LaunchColumns.from_launches([])
+        assert len(cols) == 0 and list(cols) == []
 
 
 class TestOutcome:
